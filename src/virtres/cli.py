@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -188,7 +187,10 @@ class _Parser:
                 dims.append(self.expect_int())
             self.expect(")")
             char = self.parse_char()
-            return RingSpec.product(dims, char=char)
+            try:
+                return RingSpec.product(dims, char=char)
+            except ValueError as exc:
+                raise ParseError(str(exc), t.line, t.col) from None
         if t.text == "custom":
             self.expect("degrees")
             degrees = self.parse_tuple_list()
@@ -202,7 +204,10 @@ class _Parser:
                     self.next()
                     names.append(self.next().text)
             char = self.parse_char()
-            return RingSpec.custom(degrees, primes, char=char, var_names=names)
+            try:
+                return RingSpec.custom(degrees, primes, char=char, var_names=names)
+            except ValueError as exc:
+                raise ParseError(str(exc), t.line, t.col) from None
         raise ParseError(f"expected 'P' or 'custom', found {t.text!r}", t.line, t.col)
 
     def parse_char(self) -> int:
@@ -628,8 +633,7 @@ def _fx_hirzebruch() -> dict:
 
 def _fx_delpezzo() -> dict:
     from .fixtures import DEL_PEZZO_POINTS, del_pezzo_ring
-    from .punctual import _evaluation_ideal, _flat_coords, _nullspace_mod_p, _eval_monomial
-    import numpy as np
+    from .punctual import _flat_coords, _vanishing_forms
 
     ring = del_pezzo_ring()
     cfg = PointConfig(ring, [(pt,) for pt in DEL_PEZZO_POINTS])
@@ -637,15 +641,8 @@ def _fx_delpezzo() -> dict:
     F = free_resolution(QuotientModule.cyclic(I))
     minimal = BettiTable.from_complex(F).to_json_dict()
     # three forms of degree (0,2,0) through the points span a length-2 complex
-    keys = sorted(ring.monomials_of_degree((0, 2, 0)), reverse=True)
     flats = [_flat_coords(ring, (pt,)) for pt in DEL_PEZZO_POINTS]
-    A = np.array(
-        [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats], dtype=np.int64
-    )
-    conics = [
-        Polynomial(ring, {k: c for k, c in zip(keys, v) if c})
-        for v in _nullspace_mod_p(A, ring.char)
-    ]
+    conics = _vanishing_forms(ring, ring.monomials_of_degree((0, 2, 0)), flats)
     G = free_resolution(QuotientModule.cyclic(ideal(ring, conics)))
     ok, _ = is_virtual(G, I)
     return {
@@ -724,8 +721,8 @@ def cmd_fixtures(args) -> int:
             print(f"virtres: no fixture matches {args.name!r}", file=sys.stderr)
             return 2
     expected = _expected()
-
-    def run(name: str):
+    failed = False
+    for name in names:
         t0 = time.time()
         try:
             got = FIXTURES[name]()
@@ -734,16 +731,7 @@ def cmd_fixtures(args) -> int:
         except Exception as exc:  # pragma: no cover - surfaced in the report
             ok = False
             detail = f"error: {exc}"
-        return name, ok, detail, time.time() - t0
-
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [run(n) for n in names]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, names))
-    failed = False
-    for name, ok, detail, dt in results:
+        dt = time.time() - t0
         status = "ok" if ok else "FAIL"
         print(f"{name:24s} {status:4s} ({dt:6.1f}s)" + (f"  {detail}" if detail else ""))
         failed = failed or not ok
@@ -820,7 +808,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hilbert_burch)
     p = sub.add_parser("fixtures", help="run the bundled regression fixtures")
     p.add_argument("name", nargs="?", help="substring filter")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent fixtures")
     p.set_defaults(func=cmd_fixtures)
     return ap
 

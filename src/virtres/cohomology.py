@@ -19,14 +19,22 @@ from typing import Sequence
 import numpy as np
 
 from .complexes import FreeComplex, free_resolution
-from .groebner import FreeModule, term_mono, term_pos
+from .groebner import ModuleElement, term_key, term_mono, term_pos
 from .ideals import (
     QuotientModule,
     Submodule,
     free_rank_one,
     irrelevant_power,
 )
-from .ring import Multidegree, Polynomial, RingSpec, vadd, vsub
+from .ring import (
+    Multidegree,
+    Polynomial,
+    RingSpec,
+    _weak_compositions,
+    rref_mod_p,
+    vadd,
+    vsub,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,30 +155,6 @@ def _irrelevant_power_resolution(ring: RingSpec, t: int) -> FreeComplex:
     return F
 
 
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    A = A.copy() % p
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] = (A[rr] - A[rr, c] * A[r]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def _graded_piece(M: QuotientModule, degree: Multidegree):
     """Basis and index of the standard-monomial basis of M in one degree."""
     basis = M.graded_basis(degree)
@@ -218,14 +202,12 @@ def _hom_matrix(
         for j, mono_terms in entries.items():
             src_bas, _ = src_blocks[j]
             for col_i, (pos, K) in enumerate(src_bas):
-                # multiply the basis monomial by the polynomial entry
-                elt = M.free.zero()
-                terms_: dict[int, int] = {}
-                for K2, c2 in mono_terms:
-                    K3 = ring.codec.mul(K, K2)
-                    tk = _tkey(K3, pos)
-                    terms_[tk] = (terms_.get(tk, 0) + c2) % p
-                elt = _elt(M.free, terms_)
+                # multiply the basis monomial by the polynomial entry; the
+                # entry's monomials are distinct, so their products are too
+                elt = ModuleElement(
+                    M.free,
+                    {term_key(ring.codec.mul(K, K2), pos): c2 for K2, c2 in mono_terms},
+                )
                 nf = gb.normal_form(elt)
                 for t2, c3 in nf.terms.items():
                     row = dst_idx[(term_pos(t2), term_mono(t2))]
@@ -233,18 +215,6 @@ def _hom_matrix(
                         A[dst_off[kk] + row, src_off[j] + col_i] + c3
                     ) % p
     return A
-
-
-def _tkey(K: int, pos: int) -> int:
-    from .groebner import term_key
-
-    return term_key(K, pos)
-
-
-def _elt(module: FreeModule, terms: dict[int, int]):
-    from .groebner import ModuleElement
-
-    return ModuleElement(module, {t: c for t, c in terms.items() if c})
 
 
 def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
@@ -261,10 +231,10 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
         return 0
     rank_out = 0
     if i < F.length:
-        rank_out = _rank_mod_p(_hom_matrix(M, F, i, b, pieces), ring.char)
+        rank_out = len(rref_mod_p(_hom_matrix(M, F, i, b, pieces), ring.char)[1])
     rank_in = 0
     if i >= 1:
-        rank_in = _rank_mod_p(_hom_matrix(M, F, i - 1, b, pieces), ring.char)
+        rank_in = len(rref_mod_p(_hom_matrix(M, F, i - 1, b, pieces), ring.char)[1])
     return dim_i - rank_out - rank_in
 
 
@@ -348,21 +318,9 @@ def _factor_exponents(ni: int, qi: int, ci: int) -> list[tuple[int, ...]]:
     monomials with every exponent <= -1 (the Cech local-cohomology basis).
     """
     if qi == 0:
-        return [e for e in _weak_comp(ci, ni + 1)]
+        return list(_weak_compositions(ci, ni + 1))
     total = -ci - (ni + 1)
-    return [tuple(-1 - f for f in e) for e in _weak_comp(total, ni + 1)]
-
-
-def _weak_comp(total: int, parts: int) -> list[tuple[int, ...]]:
-    if total < 0:
-        return []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _weak_comp(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [tuple(-1 - f for f in e) for e in _weak_compositions(total, ni + 1)]
 
 
 def _hq_basis(n: tuple[int, ...], c: Multidegree) -> tuple[int, list[tuple[int, ...]]] | None:
@@ -456,7 +414,7 @@ def sheaf_cohomology_exact(
                         A[dst_off[ti] + tgt, src_off[ai] + bi] = (
                             A[dst_off[ti] + tgt, src_off[ai] + bi] + coeff
                         ) % char
-            ranks[j] = _rank_mod_p(A, char)
+            ranks[j] = len(rref_mod_p(A, char)[1])
         for j in range(len(F.terms)):
             val = dims[j] - ranks[j] - ranks[j + 1]
             if val:

@@ -226,6 +226,89 @@ def element_wdeg(module: FreeModule, degree: Multidegree) -> int:
 
 
 # ---------------------------------------------------------------------------
+# lead index and reduction
+
+
+class LeadIndex:
+    """Term dicts indexed by position and lead monomial, with the reduction loop.
+
+    The Buchberger engine and ``GroebnerBasis`` both keep their elements in
+    one of these.  ``reps[i]`` is element i's representation in the tag
+    module (empty without tracking).
+    """
+
+    __slots__ = ("ring", "polys", "reps", "lead_K", "lead_pos", "lead_inv", "by_pos")
+
+    def __init__(self, ring: RingSpec):
+        self.ring = ring
+        self.polys: list[dict[int, int]] = []
+        self.reps: list[dict[int, int]] = []
+        self.lead_K: list[int] = []
+        self.lead_pos: list[int] = []
+        self.lead_inv: list[int] = []  # inverses of the lead coefficients
+        self.by_pos: dict[int, list[int]] = {}
+
+    def add(self, f: dict[int, int], rep: dict[int, int] | None = None) -> None:
+        T = max(f)
+        pos = term_pos(T)
+        self.by_pos.setdefault(pos, []).append(len(self.polys))
+        self.polys.append(f)
+        self.reps.append(rep if rep is not None else {})
+        self.lead_K.append(term_mono(T))
+        self.lead_pos.append(pos)
+        self.lead_inv.append(self.ring.inv(f[T]))
+
+    def reduce(
+        self, f: dict[int, int], rep: dict[int, int] | None = None, full: bool = False
+    ) -> dict[int, int]:
+        """Reduce the term dict f in place by the indexed elements.
+
+        Top reduction stops at the first irreducible lead and returns f.
+        Full reduction moves every irreducible term into the returned dict
+        and leaves f empty.  A given ``rep`` undergoes the same operations
+        on the elements' representations.  The reducer of a term is the
+        first indexed element whose lead divides it.
+        """
+        p = self.ring.char
+        codec = self.ring.codec
+        C0 = codec.C0
+        divides = codec.divides
+        quot = codec.quot
+        polys, reps, lead_K, lead_inv = self.polys, self.reps, self.lead_K, self.lead_inv
+        by_pos = self.by_pos
+        out: dict[int, int] = {}
+        while f:
+            T = max(f)
+            K = term_mono(T)
+            for red in by_pos.get(term_pos(T), ()):
+                if divides(lead_K[red], K):
+                    break
+            else:
+                if not full:
+                    return f
+                out[T] = f.pop(T)
+                continue
+            c = (f[T] * lead_inv[red]) % p
+            shift = (quot(K, lead_K[red]) - C0) << POS_BITS
+            for T2, c2 in polys[red].items():
+                t = T2 + shift
+                v = (f.get(t, 0) - c * c2) % p
+                if v:
+                    f[t] = v
+                else:
+                    f.pop(t, None)
+            if rep is not None:
+                for T2, c2 in reps[red].items():
+                    t = T2 + shift
+                    v = (rep.get(t, 0) - c * c2) % p
+                    if v:
+                        rep[t] = v
+                    else:
+                        rep.pop(t, None)
+        return out if full else f
+
+
+# ---------------------------------------------------------------------------
 # the Buchberger engine
 
 
@@ -248,13 +331,7 @@ class GroebnerEngine:
         self.codec = module.ring.codec
         self.p = module.ring.char
         self.track = track
-        self.basis: list[dict[int, int]] = []
-        self.reps: list[dict[int, int]] = []
-        self.lead_T: list[int] = []
-        self.lead_K: list[int] = []
-        self.lead_pos: list[int] = []
-        self.lead_c: list[int] = []
-        self.by_pos: dict[int, list[int]] = {}
+        self.index = LeadIndex(module.ring)
         self.pairs: list[tuple[int, int, int, int]] = []
         self.syzygies: list[dict[int, int]] = []
         self.n_input = 0
@@ -284,38 +361,32 @@ class GroebnerEngine:
 
     def _append(self, f: dict[int, int], rep: dict[int, int] | None) -> None:
         codec = self.codec
-        b = len(self.basis)
-        T = max(f)
-        K = term_mono(T)
-        pos = term_pos(T)
-        self.basis.append(f)
-        self.reps.append(rep if rep is not None else {})
-        self.lead_T.append(T)
-        self.lead_K.append(K)
-        self.lead_pos.append(pos)
-        self.lead_c.append(f[T])
-        same = self.by_pos.setdefault(pos, [])
+        idx = self.index
+        b = len(idx.polys)
+        idx.add(f, rep)
+        K = idx.lead_K[b]
+        pos = idx.lead_pos[b]
         pw0 = self._pos_wdeg(pos)
         # the coprime-lead (product) criterion is only valid in rank one;
         # with tracking the skipped pair still owes its Koszul syzygy
         use_product = self.module.rank == 1
-        for i in same:
-            Ki = self.lead_K[i]
+        for i in idx.by_pos[pos][:-1]:
+            Ki = idx.lead_K[i]
             if use_product and self.codec.gcd_is_one(Ki, K):
                 if self.track:
                     self._record_koszul(i, b)
                 continue
             L = codec.lcm(Ki, K)
             heapq.heappush(self.pairs, (codec.wdeg(L) + pw0, L, i, b))
-        same.append(b)
 
     def _record_koszul(self, i: int, j: int) -> None:
         """Syzygy g_j * rep_i - g_i * rep_j for a coprime-skipped pair."""
         p = self.p
         C0 = self.codec.C0
+        polys, reps = self.index.polys, self.index.reps
         syz: dict[int, int] = {}
-        for gsrc, rep in ((self.basis[j], self.reps[i]), (self.basis[i], self.reps[j])):
-            sign = 1 if gsrc is self.basis[j] else -1
+        for gsrc, rep in ((polys[j], reps[i]), (polys[i], reps[j])):
+            sign = 1 if gsrc is polys[j] else -1
             for Tg, cg in gsrc.items():
                 shift = (term_mono(Tg) - C0) << POS_BITS
                 for Tr, cr in rep.items():
@@ -328,82 +399,19 @@ class GroebnerEngine:
         if syz:
             self.syzygies.append(syz)
 
-    # -- reduction -----------------------------------------------------------
-
-    def _find_reducer(self, K: int, pos: int) -> int | None:
-        divides = self.codec.divides
-        lead_K = self.lead_K
-        for i in self.by_pos.get(pos, ()):
-            if divides(lead_K[i], K):
-                return i
-        return None
-
-    def _reduce_top(
-        self, f: dict[int, int], rep: dict[int, int] | None
-    ) -> None:
-        """Top-reduce f in place until its lead is irreducible or f is zero."""
-        p = self.p
-        C0 = self.codec.C0
-        quot = self.codec.quot
-        while f:
-            T = max(f)
-            red = self._find_reducer(term_mono(T), term_pos(T))
-            if red is None:
-                return
-            c = (f[T] * self.ring.inv(self.lead_c[red])) % p
-            shift = (quot(term_mono(T), self.lead_K[red]) - C0) << POS_BITS
-            for T2, c2 in self.basis[red].items():
-                t = T2 + shift
-                v = (f.get(t, 0) - c * c2) % p
-                if v:
-                    f[t] = v
-                else:
-                    f.pop(t, None)
-            if rep is not None:
-                for T2, c2 in self.reps[red].items():
-                    t = T2 + shift
-                    v = (rep.get(t, 0) - c * c2) % p
-                    if v:
-                        rep[t] = v
-                    else:
-                        rep.pop(t, None)
-
-    def normal_form_terms(self, terms: dict[int, int]) -> dict[int, int]:
-        """Full normal form (lead and tails) of a term dict."""
-        p = self.p
-        C0 = self.codec.C0
-        quot = self.codec.quot
-        work = dict(terms)
-        out: dict[int, int] = {}
-        while work:
-            T = max(work)
-            red = self._find_reducer(term_mono(T), term_pos(T))
-            if red is None:
-                out[T] = work.pop(T)
-                continue
-            c = (work[T] * self.ring.inv(self.lead_c[red])) % p
-            shift = (quot(term_mono(T), self.lead_K[red]) - C0) << POS_BITS
-            for T2, c2 in self.basis[red].items():
-                t = T2 + shift
-                v = (work.get(t, 0) - c * c2) % p
-                if v:
-                    work[t] = v
-                else:
-                    work.pop(t, None)
-        return out
-
     # -- the main loop ---------------------------------------------------------
 
     def _chain_skip(self, i: int, j: int, L: int, pos: int) -> bool:
         codec = self.codec
-        for k in self.by_pos.get(pos, ()):
+        lead_K = self.index.lead_K
+        for k in self.index.by_pos.get(pos, ()):
             if k == i or k == j:
                 continue
-            if not codec.divides(self.lead_K[k], L):
+            if not codec.divides(lead_K[k], L):
                 continue
-            if codec.lcm(self.lead_K[i], self.lead_K[k]) == L:
+            if codec.lcm(lead_K[i], lead_K[k]) == L:
                 continue
-            if codec.lcm(self.lead_K[j], self.lead_K[k]) == L:
+            if codec.lcm(lead_K[j], lead_K[k]) == L:
                 continue
             return True
         return False
@@ -411,23 +419,23 @@ class GroebnerEngine:
     def process(self, limit: int | None = None) -> None:
         p = self.p
         codec = self.codec
-        inv = self.ring.inv
+        idx = self.index
         while self.pairs:
             pw, L, i, j = self.pairs[0]
             if limit is not None and pw > limit:
                 return
             heapq.heappop(self.pairs)
-            pos = self.lead_pos[i]
+            pos = idx.lead_pos[i]
             if self._chain_skip(i, j, L, pos):
                 continue
-            ci = inv(self.lead_c[i])
-            cj = inv(self.lead_c[j])
-            si = (codec.quot(L, self.lead_K[i]) - codec.C0) << POS_BITS
-            sj = (codec.quot(L, self.lead_K[j]) - codec.C0) << POS_BITS
+            ci = idx.lead_inv[i]
+            cj = idx.lead_inv[j]
+            si = (codec.quot(L, idx.lead_K[i]) - codec.C0) << POS_BITS
+            sj = (codec.quot(L, idx.lead_K[j]) - codec.C0) << POS_BITS
             f: dict[int, int] = {}
-            for T2, c2 in self.basis[i].items():
+            for T2, c2 in idx.polys[i].items():
                 f[T2 + si] = (ci * c2) % p
-            for T2, c2 in self.basis[j].items():
+            for T2, c2 in idx.polys[j].items():
                 t = T2 + sj
                 v = (f.get(t, 0) - cj * c2) % p
                 if v:
@@ -437,24 +445,20 @@ class GroebnerEngine:
             rep: dict[int, int] | None = None
             if self.track:
                 rep = {}
-                for T2, c2 in self.reps[i].items():
+                for T2, c2 in idx.reps[i].items():
                     rep[T2 + si] = (ci * c2) % p
-                for T2, c2 in self.reps[j].items():
+                for T2, c2 in idx.reps[j].items():
                     t = T2 + sj
                     v = (rep.get(t, 0) - cj * c2) % p
                     if v:
                         rep[t] = v
                     else:
                         rep.pop(t, None)
-            self._reduce_top(f, rep)
+            idx.reduce(f, rep)
             if f:
                 self._append(f, rep)
             elif self.track and rep:
                 self.syzygies.append(rep)
-
-    def add_element(self, f: dict[int, int]) -> None:
-        """Append a new (already reduced, nonzero) element; no tracking."""
-        self._append(dict(f), None)
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +468,14 @@ class GroebnerEngine:
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule, with normal-form service."""
 
-    __slots__ = ("module", "elements", "_lead_K", "_lead_pos", "_by_pos")
+    __slots__ = ("module", "elements", "_index")
 
     def __init__(self, module: FreeModule, elements: list[ModuleElement]):
         self.module = module
         self.elements = elements
-        self._lead_K = []
-        self._lead_pos = []
-        self._by_pos: dict[int, list[int]] = {}
-        for i, e in enumerate(elements):
-            T, _ = e.lead_term()
-            self._lead_K.append(term_mono(T))
-            self._lead_pos.append(term_pos(T))
-            self._by_pos.setdefault(term_pos(T), []).append(i)
+        self._index = LeadIndex(module.ring)
+        for e in elements:
+            self._index.add(e.terms)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -486,39 +485,10 @@ class GroebnerBasis:
 
     def lead_terms(self) -> list[tuple[int, int]]:
         """List of (position, packed monomial key) of the leads."""
-        return list(zip(self._lead_pos, self._lead_K))
+        return list(zip(self._index.lead_pos, self._index.lead_K))
 
     def normal_form(self, elt: ModuleElement) -> ModuleElement:
-        ring = self.module.ring
-        p = ring.char
-        codec = ring.codec
-        C0 = codec.C0
-        work = dict(elt.terms)
-        out: dict[int, int] = {}
-        while work:
-            T = max(work)
-            K = term_mono(T)
-            pos = term_pos(T)
-            red = None
-            for i in self._by_pos.get(pos, ()):
-                if codec.divides(self._lead_K[i], K):
-                    red = i
-                    break
-            if red is None:
-                out[T] = work.pop(T)
-                continue
-            g = self.elements[red].terms
-            Tg, cg = max(g), g[max(g)]
-            c = (work[T] * ring.inv(cg)) % p
-            shift = (codec.quot(K, self._lead_K[red]) - C0) << POS_BITS
-            for T2, c2 in g.items():
-                t = T2 + shift
-                v = (work.get(t, 0) - c * c2) % p
-                if v:
-                    work[t] = v
-                else:
-                    work.pop(t, None)
-        return ModuleElement(self.module, out)
+        return ModuleElement(self.module, self._index.reduce(dict(elt.terms), full=True))
 
     def contains(self, elt: ModuleElement) -> bool:
         return not self.normal_form(elt).terms
@@ -529,35 +499,35 @@ class GroebnerBasis:
 
 def _interreduce(engine: GroebnerEngine) -> list[ModuleElement]:
     codec = engine.codec
-    n = len(engine.basis)
+    idx = engine.index
+    n = len(idx.polys)
     # keep only elements whose lead is minimal among all leads
     keep = []
     for i in range(n):
-        Ki, pi = engine.lead_K[i], engine.lead_pos[i]
+        Ki, pi = idx.lead_K[i], idx.lead_pos[i]
         redundant = False
-        for j in engine.by_pos.get(pi, ()):
+        for j in idx.by_pos.get(pi, ()):
             if j == i:
                 continue
-            Kj = engine.lead_K[j]
+            Kj = idx.lead_K[j]
             if codec.divides(Kj, Ki) and (Kj != Ki or j < i):
                 redundant = True
                 break
         if not redundant:
             keep.append(i)
-    # tail-reduce each kept element against the other kept ones
+    # tail-reduce each kept element against all kept ones: a tail term lies
+    # below its own lead, so that lead never divides it
     p = engine.p
+    kept = GroebnerBasis(
+        engine.module, [ModuleElement(engine.module, idx.polys[i]) for i in keep]
+    )
     out = []
     for i in keep:
-        f = dict(engine.basis[i])
+        f = dict(idx.polys[i])
         T = max(f)
-        lead_c = f.pop(T)
-        # reduce the tail against the full set, the lead only against others
-        others = GroebnerBasis(
-            engine.module,
-            [ModuleElement(engine.module, engine.basis[j]) for j in keep if j != i],
-        )
-        tail = others.normal_form(ModuleElement(engine.module, f))
-        inv = engine.ring.inv(lead_c)
+        del f[T]
+        tail = kept.normal_form(ModuleElement(engine.module, f))
+        inv = idx.lead_inv[i]
         terms = {t: (c * inv) % p for t, c in tail.terms.items()}
         terms[T] = 1
         out.append(ModuleElement(engine.module, terms))
@@ -616,24 +586,16 @@ def minimal_generators(
         return []
     if module is None:
         module = elems[0].module
-    ring = module.ring
-    order = sorted(
-        range(len(elems)),
-        key=lambda i: (
-            element_wdeg(module, elems[i].multidegree()),
-            elems[i].multidegree(),
-            i,
-        ),
-    )
+    # multidegree() checks homogeneity, so it raises on a mixed element
+    degs = [e.multidegree() for e in elems]
+    wdegs = [element_wdeg(module, d) for d in degs]
+    order = sorted(range(len(elems)), key=lambda i: (wdegs[i], degs[i], i))
     engine = GroebnerEngine(module, [], track=False)
     kept: list[ModuleElement] = []
     for i in order:
-        g = elems[i]
-        limit = element_wdeg(module, g.multidegree())
-        engine.process(limit)
-        f = dict(g.terms)
-        engine._reduce_top(f, None)
+        engine.process(wdegs[i])
+        f = engine.index.reduce(dict(elems[i].terms))
         if f:
-            kept.append(g)
+            kept.append(elems[i])
             engine._append(f, None)
     return kept

@@ -22,7 +22,7 @@ from .groebner import (
     term_mono,
     term_pos,
 )
-from .ring import Multidegree, Polynomial, RingSpec, vmax, vsub
+from .ring import Multidegree, Polynomial, RingSpec, _weak_compositions, vmax, vsub
 
 
 class Submodule:
@@ -348,7 +348,7 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
         if ai == 0:
             continue
         keys = []
-        for combo in _exponent_combos(len(prime), ai):
+        for combo in _weak_compositions(ai, len(prime)):
             exps = [0] * ring.nvars
             for v, e in zip(prime, combo):
                 exps[v] = e
@@ -361,15 +361,6 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     for blk in blocks[1:]:
         prod = [codec.mul(k1, k2) for k1 in prod for k2 in blk]
     return _from_monomials(amb, [(0, k) for k in prod])
-
-
-def _exponent_combos(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponent_combos(nvars - 1, total - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .ideals import (
     intersect,
     irrelevant_power,
 )
-from .ring import Multidegree, Polynomial, RingSpec, vadd
+from .ring import Multidegree, Polynomial, RingSpec, rref_mod_p, vadd
 
 
 # ---------------------------------------------------------------------------
@@ -138,37 +138,33 @@ def _eval_monomial(ring: RingSpec, key: int, flat: tuple[int, ...]) -> int:
 
 def _nullspace_mod_p(A: np.ndarray, p: int) -> list[list[int]]:
     """Basis of the right nullspace of A over F_p."""
-    A = A.copy() % p
-    rows, cols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if A[rr, c]:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        for rr in range(rows):
-            if rr != r and A[rr, c]:
-                A[rr] = (A[rr] - A[rr, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    R, pivots = rref_mod_p(A, p)
+    cols = A.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [0] * cols
         v[fc] = 1
         for rr, pc in enumerate(pivots):
-            v[pc] = (-int(A[rr, fc])) % p
+            v[pc] = (-int(R[rr, fc])) % p
         basis.append(v)
     return basis
+
+
+def _vanishing_forms(
+    ring: RingSpec, keys: Sequence[int], flats: list[tuple[int, ...]]
+) -> list[Polynomial]:
+    """A basis of the forms supported on the monomials ``keys`` that vanish
+    at the points with flat coordinates ``flats``."""
+    keys = sorted(keys, reverse=True)
+    A = np.array(
+        [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats],
+        dtype=np.int64,
+    )
+    return [
+        Polynomial(ring, {k: c for k, c in zip(keys, v) if c})
+        for v in _nullspace_mod_p(A, ring.char)
+    ]
 
 
 def point_ideal(ring: RingSpec, coords) -> Submodule:
@@ -204,7 +200,6 @@ def _evaluation_ideal(
     ring: RingSpec, flats: list[tuple[int, ...]], max_exp_total: int = 3
 ) -> Submodule:
     """Forms of bounded monomial support vanishing at the points, saturated."""
-    p = ring.char
     by_degree: dict[Multidegree, list[int]] = {}
     for exps in itertools.product(range(max_exp_total + 1), repeat=ring.nvars):
         if sum(exps) > max_exp_total or sum(exps) == 0:
@@ -215,14 +210,8 @@ def _evaluation_ideal(
         )
         by_degree.setdefault(d, []).append(ring.codec.encode(exps))
     gens: list[Polynomial] = []
-    for d, keys in by_degree.items():
-        keys = sorted(set(keys), reverse=True)
-        A = np.array(
-            [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats],
-            dtype=np.int64,
-        )
-        for v in _nullspace_mod_p(A, p):
-            gens.append(Polynomial(ring, {k: c for k, c in zip(keys, v) if c}))
+    for keys in by_degree.values():
+        gens += _vanishing_forms(ring, keys, flats)
     J = ideal(ring, gens).minimalized()
     return b_saturate(J)
 
@@ -398,20 +387,6 @@ def hilbert_burch(
 # Koszul pairs for points on P^1 x P^1
 
 
-def _vanishing_forms(
-    ring: RingSpec, flats: list[tuple[int, ...]], degree: Multidegree
-) -> list[Polynomial]:
-    keys = sorted(ring.monomials_of_degree(degree), reverse=True)
-    A = np.array(
-        [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats],
-        dtype=np.int64,
-    )
-    return [
-        Polynomial(ring, {k: c for k, c in zip(keys, v) if c})
-        for v in _nullspace_mod_p(A, ring.char)
-    ]
-
-
 def koszul_pair_for_points(
     config: PointConfig,
 ) -> tuple[FreeComplex, bool, dict]:
@@ -428,7 +403,7 @@ def koszul_pair_for_points(
     m = len(config)
     k = m // 2
     flats = [_flat_coords(ring, pt) for pt in config.points]
-    low = _vanishing_forms(ring, flats, (1, k))
+    low = _vanishing_forms(ring, ring.monomials_of_degree((1, k)), flats)
     if m % 2 == 0:
         if len(low) < 2:
             raise ValueError(
@@ -442,7 +417,7 @@ def koszul_pair_for_points(
             )
         f = low[0]
         fI = ideal(ring, [f])
-        high = _vanishing_forms(ring, flats, (1, k + 1))
+        high = _vanishing_forms(ring, ring.monomials_of_degree((1, k + 1)), flats)
         g = None
         for cand in high:
             if not fI.contains(fI.module.wrap(cand)):

@@ -23,13 +23,18 @@ comparison, i.e. grevlex) and ``wdeg`` is the weighted total degree.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Multidegree = tuple[int, ...]
 
 FIELD_BITS = 16
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1  # 32767; exponents must stay below this
 WDEG_BITS = 24  # elimination layout reserves this many bits for wdeg
+INT64_MAX = (1 << 63) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,54 @@ class MonomialCodec:
 
 
 # ---------------------------------------------------------------------------
+# prime fields
+
+
+@lru_cache(maxsize=32)
+def check_char(p: int) -> None:
+    """Reject p unless it is a prime small enough for int64 elimination.
+
+    Inverses come from Fermat's little theorem, which needs a prime, and
+    ``rref_mod_p`` multiplies two residues in int64, which needs
+    (p - 1)^2 <= 2^63 - 1.
+    """
+    if p < 2 or (p - 1) ** 2 > INT64_MAX:
+        raise ValueError(f"characteristic {p} is outside 2 <= p <= {isqrt(INT64_MAX) + 1}")
+    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"characteristic {p} is not a prime")
+
+
+def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of A over F_p, and its pivot columns.
+
+    Row r of the result has its leading 1 in column ``pivots[r]``; the rank
+    is ``len(pivots)``.
+    """
+    check_char(p)
+    R = np.array(A, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(R[r:, c])
+        if not nonzero.size:
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), p - 2, p) % p
+        # row r vanishes left of c, so only columns c.. change
+        hit = R[:, c] != 0
+        hit[r] = False
+        if hit.any():
+            R[hit, c:] = (R[hit, c:] - np.outer(R[hit, c], R[r, c:])) % p
+        pivots.append(c)
+    return R, pivots
+
+
+# ---------------------------------------------------------------------------
 # ring
 
 
@@ -191,8 +244,7 @@ class RingSpec:
         dimension_vector: Multidegree | None = None,
         elim_index: int | None = None,
     ):
-        if char < 2:
-            raise ValueError("characteristic must be a prime >= 2")
+        check_char(char)
         self.char = char
         self.var_degrees = tuple(tuple(d) for d in var_degrees)
         self.nvars = len(self.var_degrees)
@@ -411,6 +463,9 @@ class RingSpec:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of the given length and sum; none for a negative sum."""
+    if total < 0:
+        return
     if parts == 1:
         yield (total,)
         return

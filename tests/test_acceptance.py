@@ -196,19 +196,10 @@ def test_criterion_09_del_pezzo_points():
         assert tuple(B.totals) == (1, 5, 6, 2)
         assert twist_dict(B) == DEL_PEZZO_MINIMAL_TWISTS
         # length-2 virtual resolution from three degree-(0,2,0) forms
-        from virtres.punctual import _eval_monomial, _flat_coords, _nullspace_mod_p
-        import numpy as np
+        from virtres.punctual import _flat_coords, _vanishing_forms
 
-        keys = sorted(ring.monomials_of_degree((0, 2, 0)), reverse=True)
         flats = [_flat_coords(ring, (pt,)) for pt in DEL_PEZZO_POINTS]
-        A = np.array(
-            [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats],
-            dtype=np.int64,
-        )
-        conics = [
-            Polynomial(ring, {k: c for k, c in zip(keys, v) if c})
-            for v in _nullspace_mod_p(A, ring.char)
-        ]
+        conics = _vanishing_forms(ring, ring.monomials_of_degree((0, 2, 0)), flats)
         G = free_resolution(QuotientModule.cyclic(ideal(ring, conics)))
         BG = BettiTable.from_complex(G)
         assert tuple(BG.totals) == (1, 3, 2)

@@ -148,6 +148,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("char", [32002, 1])
+def test_bad_characteristic_exit_2(tmp_path, capsys, char):
+    bad = tmp_path / "bad.vr"
+    bad.write_text(f"ring P(1,1) char {char}\nideal I = x(1,0)*x(2,0)\n")
+    assert main(["res", "--ideal", str(bad)]) == 2
+    assert f"characteristic {char}" in capsys.readouterr().err
+
+
 def test_fixture_runner_single(capsys):
     assert main(["fixtures", "surface-res"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virtres import (
     FreeModule,
@@ -122,3 +123,25 @@ def test_module_groebner_positions():
     gb = groebner_basis(gens, module=F)
     assert gb.contains(e0.poly_mul(x * y) + e1.poly_mul(y))
     assert not gb.contains(e1)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_groebner_basis_is_reduced(data):
+    ring = data.draw(st.sampled_from([R11, R12]))
+    polys = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        d = tuple(data.draw(st.integers(0, 2)) for _ in range(ring.rank_grading))
+        monos = st.sampled_from(ring.monomials_of_degree(d))
+        keys = data.draw(st.lists(monos, min_size=1, max_size=4))
+        polys.append(Polynomial(ring, {k: data.draw(st.integers(1, ring.char - 1)) for k in keys}))
+    gens, F = wrap_all(ring, polys)
+    gb = groebner_basis(gens, module=F)
+    leads = gb.lead_terms()
+    for i, g in enumerate(gb.elements):
+        assert g.lead_term()[1] == 1
+        for t in g.terms:
+            for j, (pos, K) in enumerate(leads):
+                if j != i and pos == term_pos(t):
+                    assert not ring.codec.divides(K, term_mono(t))
+    assert gb.reduces_to_zero(gens)

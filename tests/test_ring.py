@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from virtres import Polynomial, RingSpec, vadd, vleq, vsub
+from virtres.punctual import _nullspace_mod_p
+from virtres.ring import rref_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -145,3 +148,71 @@ def test_irrelevant_primes_are_primitive_collections():
     assert R12.irrelevant_primes == ((0, 1), (2, 3, 4)) or [
         list(p) for p in R12.irrelevant_primes
     ] == [[0, 1], [2, 3, 4]]
+
+
+# -- characteristic and mod-p elimination -------------------------------------
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+# the primes on either side of the bound (p - 1)^2 <= 2^63 - 1
+P_MAX = next(q for q in range(math.isqrt(2**63 - 1) + 1, 1, -1) if _is_prime(q))
+P_OVER = next(q for q in range(math.isqrt(2**63 - 1) + 2, 2**32) if _is_prime(q))
+
+
+@pytest.mark.parametrize("char", [1, 32002, 2**61 - 1, P_OVER])
+def test_characteristic_must_be_a_small_prime(char):
+    with pytest.raises(ValueError):
+        RingSpec.product([1, 1], char=char)
+    with pytest.raises(ValueError):
+        rref_mod_p(np.eye(2, dtype=np.int64), char)
+
+
+def test_largest_characteristic_accepted():
+    assert RingSpec.product([1, 1], char=P_MAX).char == P_MAX
+
+
+def _rank_oracle(rows, p):
+    """Rank over F_p by forward elimination in Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * pow(rows[rank][c], p - 2, p)
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw, p):
+    """Sparse products U V of a rows x k and a k x cols matrix over F_p."""
+    rows, cols, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    # zeros for sparsity, residues near p - 1 for the largest products
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(1, 2), st.integers(p - 2, p - 1), st.integers(0, p - 1)
+    )
+    U = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    V = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    return [
+        [sum(U[i][t] * V[t][j] for t in range(k)) % p for j in range(cols)] for i in range(rows)
+    ]
+
+
+@pytest.mark.parametrize("p", [101, 32003, P_MAX])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rref_mod_p_against_python_int_elimination(p, data):
+    A = data.draw(low_rank_matrices(p))
+    _, pivots = rref_mod_p(np.array(A, dtype=np.int64), p)
+    assert len(pivots) == _rank_oracle(A, p)
+    null = _nullspace_mod_p(np.array(A, dtype=np.int64), p)
+    assert len(pivots) + len(null) == len(A[0])
+    for v in null:
+        assert all(sum(a * int(x) for a, x in zip(row, v)) % p == 0 for row in A)
