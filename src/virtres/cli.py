@@ -1,5 +1,6 @@
 """Command-line front end: ring/ideal description files, Betti-table and
-report rendering (text or JSON), and the bundled regression-fixture suite.
+report rendering (text or JSON), and the runner of the bundled regression
+fixtures (defined in ``virtres.fixtures``).
 
 File grammar (``#`` starts a comment; statements may span lines)::
 
@@ -20,12 +21,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .cohomology import beilinson_shape, regularity_check
 from .complexes import (
     BettiTable,
-    FreeComplex,
     free_resolution,
     is_virtual,
     virtual_of_pair,
@@ -39,14 +38,12 @@ from .ideals import (
     truncate,
 )
 from .punctual import (
-    PointConfig,
     hilbert_burch,
     intersect_with_irrelevant_power,
-    koszul_pair_for_points,
     points_ideal,
     random_points,
 )
-from .ring import Polynomial, RingSpec
+from .ring import Polynomial, RingSpec, check_char, vleq
 
 DEFAULT_CHAR = 32003
 
@@ -329,10 +326,21 @@ class _Parser:
         return base
 
 
+def _default_char() -> int:
+    """$VIRTRES_CHAR, else 32003; a value that is no usable prime exits 2."""
+    text = os.environ.get("VIRTRES_CHAR", str(DEFAULT_CHAR))
+    try:
+        char = int(text)
+        check_char(char)
+    except ValueError as exc:
+        raise SystemExit(f"virtres: VIRTRES_CHAR: {exc}") from None
+    return char
+
+
 def parse_job(text: str, default_char: int | None = None) -> JobSpec:
     """Parse a ring/ideal description file into a JobSpec."""
     if default_char is None:
-        default_char = int(os.environ.get("VIRTRES_CHAR", DEFAULT_CHAR))
+        default_char = _default_char()
     return _Parser(_tokenize(text), default_char).parse_job()
 
 
@@ -384,8 +392,10 @@ def _vector(text: str, ring: RingSpec, flag: str) -> tuple[int, ...]:
 def _window(text: str, ring: RingSpec):
     if ":" not in text:
         raise SystemExit("virtres: --window: expected lo:hi with comma vectors")
-    lo, hi = text.split(":", 1)
-    return (_vector(lo, ring, "--window"), _vector(hi, ring, "--window"))
+    lo, hi = (_vector(v, ring, "--window") for v in text.split(":", 1))
+    if not vleq(lo, hi):
+        raise SystemExit(f"virtres: --window: empty window, {lo} is not <= {hi}")
+    return lo, hi
 
 
 def _emit_betti(B: BettiTable, as_json: bool) -> None:
@@ -492,8 +502,13 @@ def cmd_beilinson(args) -> int:
 
 
 def cmd_points(args) -> int:
-    dims = [int(c) for c in args.space.split(",")]
-    ring = RingSpec.product(dims, char=int(os.environ.get("VIRTRES_CHAR", DEFAULT_CHAR)))
+    if args.count < 1:
+        raise SystemExit("virtres: --count: expected at least one point")
+    char = _default_char()
+    try:
+        ring = RingSpec.product([int(c) for c in args.space.split(",")], char=char)
+    except ValueError as exc:
+        raise SystemExit(f"virtres: --space: {exc}") from None
     cfg = random_points(ring, args.count, seed=args.seed)
     print(f"# seed {args.seed}")
     I = points_ideal(cfg)
@@ -562,172 +577,22 @@ def _jsonable(obj):
 # fixture suite
 
 
-def _data_text(name: str) -> str:
-    return resources.files("virtres").joinpath("data").joinpath(name).read_text()
-
-
-def _expected() -> dict:
-    return json.loads(_data_text("expected.json"))
-
-
-def _fx_curve_res() -> dict:
-    job = parse_job(_data_text("curve.vr"))
-    I = next(iter(job.ideals.values()))
-    F = free_resolution(QuotientModule.cyclic(I))
-    return BettiTable.from_complex(F).to_json_dict()
-
-
-def _fx_curve_pair() -> dict:
-    job = parse_job(_data_text("curve.vr"))
-    I = next(iter(job.ideals.values()))
-    M = QuotientModule.cyclic(I)
-    W = BettiTable.from_complex(winnow(free_resolution(M), (2, 1)))
-    V = BettiTable.from_complex(virtual_of_pair(M, (2, 1)))
-    return {"winnow": W.to_json_dict(), "pair": V.to_json_dict(), "agree": W == V}
-
-
-def _fx_curve_hilbert_burch() -> dict:
-    job = parse_job(_data_text("curve.vr"))
-    I = next(iter(job.ideals.values()))
-    M = QuotientModule.cyclic(I)
-    G = virtual_of_pair(M, (2, 1))
-    ring = job.ring
-    J = ideal(ring, [col.coordinate(0) for col in G.maps[0]])
-    cert = hilbert_burch(J, saturates_to=I)
-    return {
-        "shape": [len(t.gen_degrees) for t in free_resolution(QuotientModule.cyclic(J)).terms],
-        "minors_generate": cert.minors_generate,
-        "saturation_recovers": cert.saturation_recovers,
-    }
-
-
-def _fx_surface_res() -> dict:
-    job = parse_job(_data_text("surface.vr"))
-    I = next(iter(job.ideals.values()))
-    F = free_resolution(QuotientModule.cyclic(I))
-    return BettiTable.from_complex(F).to_json_dict()
-
-
-def _fx_surface_reg() -> dict:
-    job = parse_job(_data_text("surface.vr"))
-    I = next(iter(job.ideals.values()))
-    rep = regularity_check(QuotientModule.cyclic(I), (1, 1))
-    return {"verdict": rep.verdict}
-
-
-def _fx_hirzebruch() -> dict:
-    job = parse_job(_data_text("hirzebruch.vr"))
-    I = next(iter(job.ideals.values()))
-    ring = job.ring
-    pdim0 = free_resolution(QuotientModule.cyclic(I)).length
-    from .ideals import intersect
-    y0, y1 = ring.variable(0), ring.variable(1)
-    P4 = ideal(
-        ring,
-        [y0 ** i * y1 ** (4 - i) for i in range(5)],
-    )
-    J = intersect(I, P4)
-    pdim4 = free_resolution(QuotientModule.cyclic(J)).length
-    return {"pdim": pdim0, "pdim_cap4": pdim4}
-
-
-def _fx_delpezzo() -> dict:
-    from .fixtures import DEL_PEZZO_POINTS, del_pezzo_ring
-    from .punctual import _flat_coords, _vanishing_forms
-
-    ring = del_pezzo_ring()
-    cfg = PointConfig(ring, [(pt,) for pt in DEL_PEZZO_POINTS])
-    I = points_ideal(cfg)
-    F = free_resolution(QuotientModule.cyclic(I))
-    minimal = BettiTable.from_complex(F).to_json_dict()
-    # three forms of degree (0,2,0) through the points span a length-2 complex
-    flats = [_flat_coords(ring, (pt,)) for pt in DEL_PEZZO_POINTS]
-    conics = _vanishing_forms(ring, ring.monomials_of_degree((0, 2, 0)), flats)
-    G = free_resolution(QuotientModule.cyclic(ideal(ring, conics)))
-    ok, _ = is_virtual(G, I)
-    return {
-        "minimal": minimal,
-        "virtual_totals": [len(t.gen_degrees) for t in G.terms],
-        "virtual": ok,
-    }
-
-
-def _fx_koszul(m: int) -> dict:
-    ring = RingSpec.product([1, 1])
-    cfg = random_points(ring, m, seed=11)
-    C, ok, _report = koszul_pair_for_points(cfg)
-    return {
-        "twists": [[list(d) for d in t.gen_degrees] for t in C.terms],
-        "virtual": ok,
-    }
-
-
-def _fx_table1() -> dict:
-    ring = RingSpec.product([1, 1, 2])
-    cfg = random_points(ring, 6, seed=42)
-    I = points_ideal(cfg)
-    M = QuotientModule.cyclic(I)
-    B = BettiTable.from_complex(free_resolution(M))
-    out = {
-        "minimal_totals": B.totals,
-        "minimal_distinct": B.distinct_twists,
-        "pairs": {},
-    }
-    for d in [(5, 0, 0), (2, 1, 0), (1, 0, 1), (0, 0, 2)]:
-        G = BettiTable.from_complex(virtual_of_pair(M, d))
-        out["pairs"][",".join(str(c) for c in d)] = [G.totals, G.distinct_twists]
-    return out
-
-
-def _fx_table2() -> dict:
-    ring = RingSpec.product([1, 1, 2])
-    cfg = random_points(ring, 6, seed=42)
-    I = points_ideal(cfg)
-    out = {}
-    for a in [(2, 1, 0), (3, 3, 0)]:
-        J = intersect_with_irrelevant_power(I, a)
-        F = free_resolution(QuotientModule.cyclic(J))
-        ok, _ = is_virtual(F, I)
-        B = BettiTable.from_complex(F)
-        out[",".join(str(c) for c in a)] = {
-            "totals": B.totals,
-            "distinct": B.distinct_twists,
-            "length": F.length,
-            "virtual": ok,
-        }
-    return out
-
-
-FIXTURES = {
-    "curve-res": _fx_curve_res,
-    "curve-pair": _fx_curve_pair,
-    "curve-hilbert-burch": _fx_curve_hilbert_burch,
-    "surface-res": _fx_surface_res,
-    "surface-reg": _fx_surface_reg,
-    "hirzebruch": _fx_hirzebruch,
-    "delpezzo": _fx_delpezzo,
-    "koszul-m4": lambda: _fx_koszul(4),
-    "koszul-m5": lambda: _fx_koszul(5),
-    "table1": _fx_table1,
-    "table2": _fx_table2,
-}
-
-
 def cmd_fixtures(args) -> int:
+    from .fixtures import EXPECTED, FIXTURES
+
     names = sorted(FIXTURES)
     if args.name:
         names = [n for n in names if args.name in n]
         if not names:
             print(f"virtres: no fixture matches {args.name!r}", file=sys.stderr)
             return 2
-    expected = _expected()
     failed = False
     for name in names:
         t0 = time.time()
         try:
             got = FIXTURES[name]()
-            ok = got == expected[name]
-            detail = "" if ok else f"expected {expected[name]!r}, got {got!r}"
+            ok = got == EXPECTED[name]
+            detail = "" if ok else f"expected {EXPECTED[name]!r}, got {got!r}"
         except Exception as exc:  # pragma: no cover - surfaced in the report
             ok = False
             detail = f"error: {exc}"

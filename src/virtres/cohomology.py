@@ -23,7 +23,6 @@ from .groebner import ModuleElement, term_key, term_mono, term_pos
 from .ideals import (
     QuotientModule,
     Submodule,
-    free_rank_one,
     irrelevant_power,
 )
 from .ring import (

@@ -8,7 +8,7 @@ A ``FreeComplex`` stores the terms ``F_0, ..., F_p`` and, for each
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .groebner import (
     FreeModule,
@@ -25,9 +25,8 @@ from .ideals import (
     Subquotient,
     b_saturate,
     is_b_torsion,
-    truncate,
 )
-from .ring import Multidegree, Polynomial, RingSpec, vadd, vleq, vsub
+from .ring import Multidegree, Polynomial, RingSpec, vadd, vleq
 
 
 class FreeComplex:
@@ -189,6 +188,32 @@ class BettiTable:
 # resolutions
 
 
+def _iterated_syzygies(
+    terms: list[FreeModule],
+    cols: list[ModuleElement],
+    cap: int,
+    bound: Multidegree | None = None,
+) -> list[list[ModuleElement]] | None:
+    """Differentials from iterated syzygies, starting with ``cols`` in terms[-1].
+
+    Each step appends the source module to ``terms``.  With ``bound`` only
+    the syzygies of degree <= bound (componentwise) are kept.  Returns None
+    when syzygies remain after ``cap`` differentials.
+    """
+    ring = terms[0].ring
+    maps: list[list[ModuleElement]] = []
+    while cols and len(maps) < cap:
+        G = FreeModule(ring, [c.multidegree() for c in cols])
+        maps.append(cols)
+        terms.append(G)
+        cols = [
+            ModuleElement(G, s.terms)
+            for s in syzygy_module(cols)
+            if bound is None or vleq(s.multidegree(), bound)
+        ]
+    return None if cols else maps
+
+
 def free_resolution(
     M: QuotientModule | Submodule, length_cap: int | None = None
 ) -> FreeComplex:
@@ -210,21 +235,12 @@ def free_resolution(
     else:
         if M._resolution is not None and length_cap is None:
             return M._resolution
-        ring = M.ring
         terms = [M.free]
-        rel = minimal_generators(M.relations.gens, module=M.free)
-        cols = rel
+        cols = minimal_generators(M.relations.gens, module=M.free)
     ring = terms[0].ring
     cap = length_cap if length_cap is not None else ring.nvars + 1
-    maps: list[list[ModuleElement]] = []
-    while cols and len(maps) < cap:
-        G = FreeModule(ring, [c.multidegree() for c in cols])
-        # re-home the columns: they live in terms[-1] already
-        maps.append(cols)
-        terms.append(G)
-        syz = syzygy_module(cols)
-        cols = [ModuleElement(G, s.terms) for s in syz]
-    if cols:
+    maps = _iterated_syzygies(terms, cols, cap)
+    if maps is None:
         raise RuntimeError("resolution did not terminate within the length cap")
     out = FreeComplex(terms, maps)
     # iterated syzygies of minimal generators are minimal except when the
@@ -248,7 +264,6 @@ def minimalize(F: FreeComplex) -> FreeComplex:
     maps = [[col.copy() for col in cols] for cols in F.maps]
     ring = F.ring
     one_key = ring.codec.one
-    p = ring.char
 
     def drop_coordinate(cols: list[ModuleElement], module: FreeModule, r: int):
         new_mod = FreeModule(ring, [d for j, d in enumerate(module.gen_degrees) if j != r])
@@ -295,24 +310,12 @@ def minimalize(F: FreeComplex) -> FreeComplex:
             # splits off the trivial summand spanned by the pivot
             src_mod, new_cols = drop_coordinate(new_cols, terms[i], r)
             terms[i] = src_mod
-            new_src = FreeModule(
-                ring, [d for j, d in enumerate(terms[i + 1].gen_degrees) if j != cidx]
-            )
-            terms[i + 1] = new_src
             maps[i] = new_cols
             # delete coordinate cidx from the next differential's columns
+            nxt = maps[i + 1] if i + 1 < len(maps) else []
+            terms[i + 1], nxt = drop_coordinate(nxt, terms[i + 1], cidx)
             if i + 1 < len(maps):
-                old_next = maps[i + 1]
-                fixed = []
-                for col in old_next:
-                    terms_ = {}
-                    for t, c in col.terms.items():
-                        pos = term_pos(t)
-                        if pos == cidx:
-                            continue
-                        terms_[term_key(term_mono(t), pos - (pos > cidx))] = c
-                    fixed.append(ModuleElement(new_src, terms_))
-                maps[i + 1] = fixed
+                maps[i + 1] = nxt
             # delete column r from the previous differential
             if i >= 1:
                 maps[i - 1] = [c for j, c in enumerate(maps[i - 1]) if j != r]
@@ -423,24 +426,14 @@ def virtual_of_pair(
     d = tuple(d)
     bound = vadd(d, ring.dimension_vector)
     terms = [M.free]
-    maps: list[list[ModuleElement]] = []
     rel = minimal_generators(M.relations.gens, module=M.free)
     cols = [g for g in rel if vleq(g.multidegree(), bound)]
-    while cols:
-        if len(maps) > ring.nvars + 1:
-            raise RuntimeError(
-                "virtual resolution of the pair did not terminate; "
-                f"{d} is likely not in the multigraded regularity of the module"
-            )
-        G = FreeModule(ring, [c.multidegree() for c in cols])
-        maps.append(cols)
-        terms.append(G)
-        syz = syzygy_module(cols)
-        cols = [
-            ModuleElement(G, s.terms)
-            for s in syz
-            if vleq(s.multidegree(), bound)
-        ]
+    maps = _iterated_syzygies(terms, cols, ring.nvars + 2, bound)
+    if maps is None:
+        raise RuntimeError(
+            "virtual resolution of the pair did not terminate; "
+            f"{d} is likely not in the multigraded regularity of the module"
+        )
     out = FreeComplex(terms, maps)
     if check:
         ok, report = is_virtual(out, M)

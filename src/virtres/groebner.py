@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .ring import Multidegree, Polynomial, RingSpec, vadd, vsub
+from .ring import Multidegree, Polynomial, RingSpec, vadd
 
 POS_BITS = 20
 POS_MAX = (1 << POS_BITS) - 1
@@ -486,6 +486,11 @@ class GroebnerBasis:
     def lead_terms(self) -> list[tuple[int, int]]:
         """List of (position, packed monomial key) of the leads."""
         return list(zip(self._index.lead_pos, self._index.lead_K))
+
+    def leads_at(self, pos: int) -> list[int]:
+        """Packed monomial keys of the leads at position ``pos``."""
+        idx = self._index
+        return [idx.lead_K[i] for i in idx.by_pos.get(pos, ())]
 
     def normal_form(self, elt: ModuleElement) -> ModuleElement:
         return ModuleElement(self.module, self._index.reduce(dict(elt.terms), full=True))

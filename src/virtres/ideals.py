@@ -128,22 +128,23 @@ class QuotientModule:
 
     def graded_basis(self, degree: Multidegree) -> list[tuple[int, int]]:
         """Standard monomial basis [(position, monomial key)] of degree ``degree``."""
-        ring = self.ring
-        codec = ring.codec
-        leads_by_pos: dict[int, list[int]] = {}
-        for pos, K in self.relations.gb().lead_terms():
-            leads_by_pos.setdefault(pos, []).append(K)
-        out: list[tuple[int, int]] = []
-        for pos, gdeg in enumerate(self.free.gen_degrees):
-            target = vsub(degree, gdeg)
-            leads = leads_by_pos.get(pos, ())
-            for K in ring.monomials_of_degree(target):
-                if not any(codec.divides(L, K) for L in leads):
-                    out.append((pos, K))
-        return out
+        gb = self.relations.gb()
+        return [
+            (pos, K)
+            for pos, gdeg in enumerate(self.free.gen_degrees)
+            for K in _standard_monomials(self.ring, gb.leads_at(pos), vsub(degree, gdeg))
+        ]
 
     def __repr__(self) -> str:
         return f"QuotientModule(rank {self.free.rank}, {len(self.relations.gens)} relations)"
+
+
+def _standard_monomials(ring: RingSpec, leads: list[int], degree: Multidegree) -> list[int]:
+    """Monomial keys of the given degree that none of the leads divides."""
+    divides = ring.codec.divides
+    return [
+        K for K in ring.monomials_of_degree(degree) if not any(divides(L, K) for L in leads)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +391,15 @@ def hilbert_function(M: QuotientModule | Submodule, degree: Sequence[int]) -> in
         total = hilbert_function(free, degree)
         return total - hilbert_function(QuotientModule(M.module, M), degree)
     ring = M.ring
-    codec = ring.codec
-    leads_by_pos: dict[int, list[int]] = {}
-    for pos, K in M.relations.gb().lead_terms():
-        leads_by_pos.setdefault(pos, []).append(K)
+    gb = M.relations.gb()
     count = 0
     for pos, gdeg in enumerate(M.free.gen_degrees):
         target = vsub(degree, gdeg)
-        leads = leads_by_pos.get(pos, ())
+        leads = gb.leads_at(pos)
         if not leads:
             count += ring.hilbert_series_free(target)
-            continue
-        for K in ring.monomials_of_degree(target):
-            if not any(codec.divides(L, K) for L in leads):
-                count += 1
+        else:
+            count += len(_standard_monomials(ring, leads, target))
     return count
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .complexes import (
     is_virtual,
     koszul_pair_complex,
 )
-from .groebner import FreeModule, minimal_generators, syzygy_module
+from .groebner import syzygy_module
 from .ideals import (
     QuotientModule,
     Submodule,

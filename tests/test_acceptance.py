@@ -60,6 +60,7 @@ from virtres.fixtures import (
     curve_ideal,
     del_pezzo_ring,
     hirzebruch_ideal,
+    six_points_ideal,
     surface_ideal,
     two_planes_ideal,
 )
@@ -132,11 +133,9 @@ def test_criterion_04_two_planes_no_short_virtual():
             assert not is_virtual(W, I)[0], d
 
 
-@pytest.fixture(scope="module")
-def six_points_ideal():
-    ring = RingSpec.product([1, 1, 2], char=32003)
-    cfg = random_points(ring, 6, seed=42)
-    return points_ideal(cfg)
+@pytest.fixture(scope="module", name="six_points_ideal")
+def six_points_fixture():
+    return six_points_ideal()
 
 
 def test_criterion_05_six_points_tables(six_points_ideal):

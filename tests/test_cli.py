@@ -5,7 +5,7 @@ import json
 import pytest
 
 from virtres.cli import JobSpec, ParseError, main, parse_job, render_job
-from virtres.fixtures import curve_ideal, curve_ring
+from virtres.fixtures import curve_ideal, curve_ring, hirzebruch_ideal, surface_ideal
 
 CURVE_VR = "src/virtres/data/curve.vr"
 SURFACE_VR = "src/virtres/data/surface.vr"
@@ -47,6 +47,12 @@ def test_default_characteristic_env_override(monkeypatch):
     monkeypatch.delenv("VIRTRES_CHAR")
     job = parse_job("ring P(1,1)")
     assert job.ring.char == 32003
+
+
+def test_bundled_examples_ignore_env_characteristic(monkeypatch):
+    monkeypatch.setenv("VIRTRES_CHAR", "101")
+    for build in (curve_ideal, surface_ideal, hirzebruch_ideal):
+        assert build().ring.char == 32003
 
 
 def test_round_trip_render_parse():
@@ -156,6 +162,38 @@ def test_bad_characteristic_exit_2(tmp_path, capsys, char):
     assert f"characteristic {char}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value,argv,fragment",
+    [
+        ("abc", ["res", "--ideal", CURVE_VR], "invalid literal"),
+        ("32002", ["res", "--ideal", CURVE_VR], "32002 is not a prime"),
+        ("32002", ["points", "--space", "1,1", "--count", "2"], "32002 is not a prime"),
+    ],
+)
+def test_bad_env_characteristic_exit_2(monkeypatch, capsys, value, argv, fragment):
+    monkeypatch.setenv("VIRTRES_CHAR", value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "VIRTRES_CHAR" in err and fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["points", "--space", "1,1", "--count", "0"], "--count"),
+        (["points", "--space", "1,x", "--count", "2"], "--space"),
+        (["points", "--space", "1,0", "--count", "2"], "--space"),
+        (
+            ["reg-check", "--ideal", CURVE_VR, "--degree", "2,1", "--window", "3,3:0,0"],
+            "empty window",
+        ),
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv, fragment):
+    assert main(argv) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_fixture_runner_single(capsys):
     assert main(["fixtures", "surface-res"]) == 0
     out = capsys.readouterr().out
@@ -169,7 +207,7 @@ def test_fixture_runner_unknown_name(capsys):
 def test_fixture_registry_matches_expected_file():
     from importlib import resources
 
-    from virtres.cli import FIXTURES
+    from virtres.fixtures import FIXTURES
 
     expected = json.loads(
         resources.files("virtres").joinpath("data").joinpath("expected.json").read_text()

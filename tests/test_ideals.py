@@ -26,6 +26,7 @@ from virtres import (
 from virtres.fixtures import (
     curve_ideal,
     curve_ring,
+    hirzebruch_ideal,
     two_planes_ideal,
 )
 
@@ -122,6 +123,21 @@ def test_b_saturate_idempotent_and_fixes_saturated_ideals():
     S1 = b_saturate(J)
     assert same_ideal(b_saturate(S1), S1)
     assert S1.gb().reduces_to_zero(J.gens)
+
+
+def test_b_saturate_derives_the_hirzebruch_example():
+    # Cox ring of F_3: a custom grading with a negative entry
+    R = RingSpec.custom(
+        [(1, 0), (1, 0), (-2, 1), (0, 1)],
+        [[0, 1], [2, 3]],
+        char=32003,
+        var_names=["y0", "y1", "y2", "y3"],
+    )
+    y0, y1, y2, y3 = R.variables()
+    J = b_saturate(ideal(R, [y0**5 * y2**2 + y1 * y3**2, y0 * y3 + y2 * y1**3]))
+    I = hirzebruch_ideal()
+    assert I.ring == R
+    assert [g.terms for g in J.minimalized().gens] == [g.terms for g in I.gens]
 
 
 # -- B and its powers -------------------------------------------------------
