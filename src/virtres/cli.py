@@ -368,16 +368,21 @@ def render_job(job: JobSpec) -> str:
 # command helpers
 
 
-def _load_ideal(path: str) -> tuple[RingSpec, Submodule]:
+def _load_ideal(path: str, product: bool = False) -> tuple[RingSpec, Submodule]:
+    """The ring and first ideal of a file; ``product`` rejects custom rings."""
     with open(path, encoding="utf-8") as fh:
         job = parse_job(fh.read())
     if not job.ideals:
         raise ParseError("file defines no ideal", 1, 1)
+    if product and not job.ring.is_product:
+        raise SystemExit(f"virtres: {path}: this command requires a product of projective spaces")
     name = next(iter(job.ideals))
     return job.ring, job.ideals[name]
 
 
-def _vector(text: str, ring: RingSpec, flag: str) -> tuple[int, ...]:
+def _vector(
+    text: str, ring: RingSpec, flag: str, nonnegative: bool = False
+) -> tuple[int, ...]:
     try:
         vec = tuple(int(c) for c in text.split(","))
     except ValueError:
@@ -386,6 +391,8 @@ def _vector(text: str, ring: RingSpec, flag: str) -> tuple[int, ...]:
         raise SystemExit(
             f"virtres: {flag}: expected {ring.rank_grading} components, got {len(vec)}"
         )
+    if nonnegative and min(vec) < 0:
+        raise SystemExit(f"virtres: {flag}: expected nonnegative components, got {text}")
     return vec
 
 
@@ -430,7 +437,7 @@ def cmd_saturate(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     J = truncate(I, d)
     gens = _gens_text(J.minimalized())
@@ -443,7 +450,7 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_virtual_of_pair(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     F = virtual_of_pair(QuotientModule.cyclic(I), d, check=args.check)
     _emit_betti(BettiTable.from_complex(F), args.json)
@@ -451,7 +458,7 @@ def cmd_virtual_of_pair(args) -> int:
 
 
 def cmd_winnow(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     F = winnow(free_resolution(QuotientModule.cyclic(I)), d)
     _emit_betti(BettiTable.from_complex(F), args.json)
@@ -459,7 +466,7 @@ def cmd_winnow(args) -> int:
 
 
 def cmd_is_virtual(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     F = winnow(free_resolution(QuotientModule.cyclic(I)), d)
     ok, report = is_virtual(F, I)
@@ -469,7 +476,7 @@ def cmd_is_virtual(args) -> int:
 
 
 def cmd_reg_check(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     window = _window(args.window, ring) if args.window else None
     rep = regularity_check(QuotientModule.cyclic(I), d, window=window, strict=args.strict)
@@ -483,7 +490,7 @@ def cmd_reg_check(args) -> int:
 
 
 def cmd_beilinson(args) -> int:
-    ring, I = _load_ideal(args.ideal)
+    ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
     shape = beilinson_shape(QuotientModule.cyclic(I), d, verify_vanishing=args.verify)
     if args.json:
@@ -527,7 +534,7 @@ def cmd_points(args) -> int:
 
 def cmd_bsat_power(args) -> int:
     ring, I = _load_ideal(args.ideal)
-    a = _vector(args.exponent, ring, "--exponent")
+    a = _vector(args.exponent, ring, "--exponent", nonnegative=True)
     J = intersect_with_irrelevant_power(I, a)
     F = free_resolution(QuotientModule.cyclic(J))
     ok, _report = is_virtual(F, I)

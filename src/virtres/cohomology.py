@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .complexes import FreeComplex, free_resolution
 from .groebner import ModuleElement, term_key, term_mono, term_pos
 from .ideals import (
@@ -29,8 +27,9 @@ from .ring import (
     Multidegree,
     Polynomial,
     RingSpec,
+    SparseRow,
     _weak_compositions,
-    rref_mod_p,
+    echelon_mod_p,
     vadd,
     vsub,
 )
@@ -167,10 +166,11 @@ def _hom_matrix(
     k: int,
     b: Multidegree,
     pieces: dict,
-) -> np.ndarray:
-    """Matrix of Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b (precomposition with d)."""
+) -> list[SparseRow]:
+    """Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b (precomposition with d) as sparse
+    rows: row i is the image of source basis element i (the transposed
+    matrix, so the rank is the same)."""
     ring = M.ring
-    p = ring.char
     gb = M.relations.gb()
 
     def piece(degree):
@@ -182,13 +182,9 @@ def _hom_matrix(
     dst_degs = F.terms[k + 1].gen_degrees
     src_blocks = [piece(vadd(b, a)) for a in src_degs]
     dst_blocks = [piece(vadd(b, c)) for c in dst_degs]
-    src_dim = sum(len(bas) for bas, _ in src_blocks)
-    dst_dim = sum(len(bas) for bas, _ in dst_blocks)
-    A = np.zeros((dst_dim, src_dim), dtype=np.int64)
-    if src_dim == 0 or dst_dim == 0:
-        return A
-    src_off = np.cumsum([0] + [len(bas) for bas, _ in src_blocks])
-    dst_off = np.cumsum([0] + [len(bas) for bas, _ in dst_blocks])
+    src_off = list(itertools.accumulate((len(bas) for bas, _ in src_blocks), initial=0))
+    dst_off = list(itertools.accumulate((len(bas) for bas, _ in dst_blocks), initial=0))
+    rows: list[SparseRow] = [{} for _ in range(src_off[-1])]
     cols = F.maps[k]
     for kk, col in enumerate(cols):
         dst_bas, dst_idx = dst_blocks[kk]
@@ -207,13 +203,10 @@ def _hom_matrix(
                     M.free,
                     {term_key(ring.codec.mul(K, K2), pos): c2 for K2, c2 in mono_terms},
                 )
-                nf = gb.normal_form(elt)
-                for t2, c3 in nf.terms.items():
-                    row = dst_idx[(term_pos(t2), term_mono(t2))]
-                    A[dst_off[kk] + row, src_off[j] + col_i] = (
-                        A[dst_off[kk] + row, src_off[j] + col_i] + c3
-                    ) % p
-    return A
+                row = rows[src_off[j] + col_i]
+                for t2, c3 in gb.normal_form(elt).terms.items():
+                    row[dst_off[kk] + dst_idx[(term_pos(t2), term_mono(t2))]] = c3
+    return rows
 
 
 def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
@@ -230,10 +223,10 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
         return 0
     rank_out = 0
     if i < F.length:
-        rank_out = len(rref_mod_p(_hom_matrix(M, F, i, b, pieces), ring.char)[1])
+        rank_out = len(echelon_mod_p(_hom_matrix(M, F, i, b, pieces), ring.char))
     rank_in = 0
     if i >= 1:
-        rank_in = len(rref_mod_p(_hom_matrix(M, F, i - 1, b, pieces), ring.char)[1])
+        rank_in = len(echelon_mod_p(_hom_matrix(M, F, i - 1, b, pieces), ring.char))
     return dim_i - rank_out - rank_in
 
 
@@ -380,21 +373,18 @@ def sheaf_cohomology_exact(
             dst = [
                 (ai, d) for ai, d in enumerate(summand_data[j - 1]) if d and d[0] == q
             ]
-            src_off = {}
-            off = 0
-            for ai, d in src:
-                src_off[ai] = off
-                off += len(d[1])
             dst_off = {}
             off = 0
             for ai, d in dst:
                 dst_off[ai] = off
                 off += len(d[1])
-            A = np.zeros((dims[j - 1], dims[j]), dtype=np.int64)
+            # one sparse row per source basis element: the transposed matrix
+            rows = []
             cols = F.maps[j - 1]
             for ai, d in src:
                 col = cols[ai]
-                qsrc, basis, _ = d
+                basis = d[1]
+                block = [{} for _ in basis]
                 for t, coeff in col.terms.items():
                     ti = term_pos(t)
                     ddst = summand_data[j - 1][ti]
@@ -410,10 +400,10 @@ def sheaf_cohomology_exact(
                         tgt = dst_index.get(new)
                         if tgt is None:
                             continue
-                        A[dst_off[ti] + tgt, src_off[ai] + bi] = (
-                            A[dst_off[ti] + tgt, src_off[ai] + bi] + coeff
-                        ) % char
-            ranks[j] = len(rref_mod_p(A, char)[1])
+                        c = dst_off[ti] + tgt
+                        block[bi][c] = block[bi].get(c, 0) + coeff
+                rows += block
+            ranks[j] = len(echelon_mod_p(rows, char))
         for j in range(len(F.terms)):
             val = dims[j] - ranks[j] - ranks[j + 1]
             if val:

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .complexes import (
     FreeComplex,
     free_resolution,
@@ -33,7 +31,15 @@ from .ideals import (
     intersect,
     irrelevant_power,
 )
-from .ring import Multidegree, Polynomial, RingSpec, rref_mod_p, vadd
+from .ring import (
+    Multidegree,
+    Polynomial,
+    RingSpec,
+    SparseRow,
+    echelon_mod_p,
+    sub_multiple_mod_p,
+    vadd,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +142,25 @@ def _eval_monomial(ring: RingSpec, key: int, flat: tuple[int, ...]) -> int:
     return val
 
 
-def _nullspace_mod_p(A: np.ndarray, p: int) -> list[list[int]]:
-    """Basis of the right nullspace of A over F_p."""
-    R, pivots = rref_mod_p(A, p)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+def _nullspace_mod_p(rows: list[SparseRow], ncols: int, p: int) -> list[list[int]]:
+    """Basis of the right nullspace over F_p of the matrix with the given
+    sparse rows and ``ncols`` columns."""
+    ech = echelon_mod_p(rows, p)
+    # back-substitute, last pivot first, to the reduced echelon form
+    pivots = sorted(ech)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = ech[pivots[i]]
+        for pc in pivots[i + 1:]:
+            if pc in row:
+                sub_multiple_mod_p(row, row[pc], ech[pc], p)
     basis = []
-    for fc in free:
-        v = [0] * cols
+    for fc in range(ncols):
+        if fc in ech:
+            continue
+        v = [0] * ncols
         v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = (-int(R[rr, fc])) % p
+        for pc in pivots:
+            v[pc] = -ech[pc].get(fc, 0) % p
         basis.append(v)
     return basis
 
@@ -157,13 +171,10 @@ def _vanishing_forms(
     """A basis of the forms supported on the monomials ``keys`` that vanish
     at the points with flat coordinates ``flats``."""
     keys = sorted(keys, reverse=True)
-    A = np.array(
-        [[_eval_monomial(ring, k, fl) for k in keys] for fl in flats],
-        dtype=np.int64,
-    )
+    rows = [{i: _eval_monomial(ring, k, fl) for i, k in enumerate(keys)} for fl in flats]
     return [
         Polynomial(ring, {k: c for k, c in zip(keys, v) if c})
-        for v in _nullspace_mod_p(A, ring.char)
+        for v in _nullspace_mod_p(rows, len(keys), ring.char)
     ]
 
 

@@ -27,8 +27,6 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 Multidegree = tuple[int, ...]
 
 FIELD_BITS = 16
@@ -164,11 +162,11 @@ class MonomialCodec:
 
 @lru_cache(maxsize=32)
 def check_char(p: int) -> None:
-    """Reject p unless it is a prime small enough for int64 elimination.
+    """Reject p unless it is a prime with (p - 1)^2 <= 2^63 - 1.
 
-    Inverses come from Fermat's little theorem, which needs a prime, and
-    ``rref_mod_p`` multiplies two residues in int64, which needs
-    (p - 1)^2 <= 2^63 - 1.
+    Inverses come from Fermat's little theorem, which needs a prime.  The
+    bound p <= 3037000493 is the supported range; it also keeps the trial
+    division here cheap.
     """
     if p < 2 or (p - 1) ** 2 > INT64_MAX:
         raise ValueError(f"characteristic {p} is outside 2 <= p <= {isqrt(INT64_MAX) + 1}")
@@ -176,34 +174,50 @@ def check_char(p: int) -> None:
         raise ValueError(f"characteristic {p} is not a prime")
 
 
-def rref_mod_p(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of A over F_p, and its pivot columns.
+SparseRow = dict[int, int]
 
-    Row r of the result has its leading 1 in column ``pivots[r]``; the rank
-    is ``len(pivots)``.
+
+def echelon_mod_p(rows: Iterable[SparseRow], p: int) -> dict[int, SparseRow]:
+    """Row echelon form over F_p of sparse ``{column: value}`` rows.
+
+    Entries may be any ints; they are reduced mod p on entry.  Returns
+    pivot column -> row, each row monic at its pivot and empty left of it,
+    so the rank is the number of rows.  Rows are processed shortest first;
+    each has its smallest column cleared by the stored pivot row there
+    until it is empty or becomes a new pivot.
     """
     check_char(p)
-    R = np.array(A, dtype=np.int64) % p
-    rows, cols = R.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nonzero = np.flatnonzero(R[r:, c])
-        if not nonzero.size:
-            continue
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        R[r, c:] = R[r, c:] * pow(int(R[r, c]), p - 2, p) % p
-        # row r vanishes left of c, so only columns c.. change
-        hit = R[:, c] != 0
-        hit[r] = False
-        if hit.any():
-            R[hit, c:] = (R[hit, c:] - np.outer(R[hit, c], R[r, c:])) % p
-        pivots.append(c)
-    return R, pivots
+    reduced = []
+    for row in rows:
+        red = {}
+        for c, v in row.items():
+            v %= p
+            if v:
+                red[c] = v
+        if red:
+            reduced.append(red)
+    reduced.sort(key=len)
+    pivots: dict[int, SparseRow] = {}
+    for row in reduced:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            sub_multiple_mod_p(row, row[c], prow, p)
+    return pivots
+
+
+def sub_multiple_mod_p(row: SparseRow, f: int, other: SparseRow, p: int) -> None:
+    """row -= f * other over F_p, in place, dropping entries that vanish."""
+    for k, v in other.items():
+        w = (row.get(k, 0) - f * v) % p
+        if w:
+            row[k] = w
+        else:
+            row.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

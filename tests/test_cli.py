@@ -1,6 +1,9 @@
 """Command-line interface: file grammar, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from virtres.fixtures import curve_ideal, curve_ring, hirzebruch_ideal, surface_
 
 CURVE_VR = "src/virtres/data/curve.vr"
 SURFACE_VR = "src/virtres/data/surface.vr"
+HIRZEBRUCH_VR = "src/virtres/data/hirzebruch.vr"
 
 
 # -- grammar ---------------------------------------------------------------------
@@ -194,6 +198,30 @@ def test_bad_arguments_exit_2(capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["virtual-of-pair", "--degree", "1,1"],
+        ["truncate", "--degree", "1,1"],
+        ["winnow", "--degree", "1,1"],
+        ["is-virtual", "--degree", "1,1"],
+        ["reg-check", "--degree", "1,1"],
+        ["beilinson", "--degree", "1,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_product_only_commands_reject_custom_ring(capsys, argv):
+    assert main(argv + ["--ideal", HIRZEBRUCH_VR]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0 and "requires a product of projective spaces" in err
+
+
+def test_negative_exponent_exit_2(capsys):
+    assert main(["bsat-power", "--ideal", CURVE_VR, "--exponent=-1,0"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.count("\n") == 0 and "--exponent" in err and "nonnegative" in err
+
+
 def test_fixture_runner_single(capsys):
     assert main(["fixtures", "surface-res"]) == 0
     out = capsys.readouterr().out
@@ -213,3 +241,12 @@ def test_fixture_registry_matches_expected_file():
         resources.files("virtres").joinpath("data").joinpath("expected.json").read_text()
     )
     assert set(expected) == set(FIXTURES)
+
+
+def test_library_and_cli_import_no_numpy():
+    code = "import sys, virtres, virtres.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"

@@ -149,8 +149,15 @@ def test_regularity_check_curve():
     assert rep.verdict == "consistent-in-window"
     assert rep.checks == []
     rep = regularity_check(M, (0, 0))
+    assert rep.window == ((-2, -3), (3, 8))
     assert rep.verdict == "refuted"
-    assert any(dim > 0 for (_, _, dim) in rep.checks)
+    assert rep.unstabilized == []
+    assert rep.checks == [
+        (2, (0, 0), 4), (1, (0, 1), 2), (1, (0, 2), 7), (1, (0, 3), 11),
+        (1, (0, 4), 14), (1, (0, 5), 16), (1, (0, 6), 17), (1, (0, 7), 17),
+        (1, (0, 8), 17), (2, (1, 0), 3), (1, (1, 1), 1), (1, (1, 2), 3),
+        (1, (1, 3), 3), (1, (1, 4), 1), (2, (2, 0), 2), (2, (3, 0), 1),
+    ]
 
 
 def test_regularity_check_surface():

@@ -2,13 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from virtres import Polynomial, RingSpec, vadd, vleq, vsub
 from virtres.punctual import _nullspace_mod_p
-from virtres.ring import rref_mod_p
+from virtres.ring import echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -167,7 +166,7 @@ def test_characteristic_must_be_a_small_prime(char):
     with pytest.raises(ValueError):
         RingSpec.product([1, 1], char=char)
     with pytest.raises(ValueError):
-        rref_mod_p(np.eye(2, dtype=np.int64), char)
+        echelon_mod_p([{0: 1}, {1: 1}], char)
 
 
 def test_largest_characteristic_accepted():
@@ -205,14 +204,48 @@ def low_rank_matrices(draw, p):
     ]
 
 
+def _sparse(A):
+    return [{c: x for c, x in enumerate(row) if x} for row in A]
+
+
+def _check_against_oracle(rows, cols, p):
+    """echelon_mod_p and _nullspace_mod_p on sparse rows against the dense oracle."""
+    A = [[row.get(c, 0) for c in range(cols)] for row in rows]
+    ech = echelon_mod_p(rows, p)
+    for c, row in ech.items():
+        assert row[c] == 1 and min(row) == c
+        assert all(0 < v < p for v in row.values())
+    assert len(ech) == _rank_oracle(A, p)
+    null = _nullspace_mod_p(rows, cols, p)
+    assert len(ech) + len(null) == cols
+    for v in null:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
+
+
 @pytest.mark.parametrize("p", [101, 32003, P_MAX])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_rref_mod_p_against_python_int_elimination(p, data):
+def test_echelon_mod_p_against_python_int_elimination(p, data):
     A = data.draw(low_rank_matrices(p))
-    _, pivots = rref_mod_p(np.array(A, dtype=np.int64), p)
-    assert len(pivots) == _rank_oracle(A, p)
-    null = _nullspace_mod_p(np.array(A, dtype=np.int64), p)
-    assert len(pivots) + len(null) == len(A[0])
-    for v in null:
-        assert all(sum(a * int(x) for a, x in zip(row, v)) % p == 0 for row in A)
+    _check_against_oracle(_sparse(A), len(A[0]), p)
+
+
+@st.composite
+def structurally_sparse_rows(draw, p):
+    """Sparse rows with empty and repeated rows and entries outside 0..p-1."""
+    cols = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.integers(-3 * p, -1), st.integers(p, 3 * p), st.just(p), st.integers(1, p - 1)
+    )
+    row = st.dictionaries(st.integers(0, cols - 1), entry, max_size=4)
+    rows = draw(st.lists(row, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    return cols, rows + [{}] + [dict(r) for r in repeats]
+
+
+@pytest.mark.parametrize("p", [101, 32003, P_MAX])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_echelon_mod_p_structurally_sparse_rows(p, data):
+    cols, rows = data.draw(structurally_sparse_rows(p))
+    _check_against_oracle(rows, cols, p)
