@@ -288,10 +288,14 @@ class _Parser:
         return poly
 
     def parse_term(self, ring: RingSpec) -> Polynomial:
-        poly = self.parse_factor(ring)
-        while self.peek() is not None and self.peek().text == "*":
-            self.next()
-            poly = poly * self.parse_factor(ring)
+        start = self.peek()
+        try:
+            poly = self.parse_factor(ring)
+            while self.peek() is not None and self.peek().text == "*":
+                self.next()
+                poly = poly * self.parse_factor(ring)
+        except OverflowError as exc:  # an exponent past the packed-monomial range
+            raise ParseError(str(exc), start.line, start.col) from None
         return poly
 
     def parse_factor(self, ring: RingSpec) -> Polynomial:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .complexes import FreeComplex, free_resolution
-from .groebner import ModuleElement, term_key, term_mono, term_pos
+from .groebner import term_key, term_mono, term_pos
 from .ideals import (
     QuotientModule,
     Submodule,
@@ -25,7 +25,6 @@ from .ideals import (
 )
 from .ring import (
     Multidegree,
-    Polynomial,
     RingSpec,
     SparseRow,
     _weak_compositions,
@@ -153,59 +152,40 @@ def _irrelevant_power_resolution(ring: RingSpec, t: int) -> FreeComplex:
     return F
 
 
-def _graded_piece(M: QuotientModule, degree: Multidegree):
-    """Basis and index of the standard-monomial basis of M in one degree."""
-    basis = M.graded_basis(degree)
-    index = {bk: i for i, bk in enumerate(basis)}
-    return basis, index
-
-
-def _hom_matrix(
-    M: QuotientModule,
-    F: FreeComplex,
-    k: int,
-    b: Multidegree,
-    pieces: dict,
-) -> list[SparseRow]:
+def _hom_matrix(M: QuotientModule, F: FreeComplex, k: int, b: Multidegree) -> list[SparseRow]:
     """Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b (precomposition with d) as sparse
     rows: row i is the image of source basis element i (the transposed
     matrix, so the rank is the same)."""
-    ring = M.ring
-    gb = M.relations.gb()
-
-    def piece(degree):
-        if degree not in pieces:
-            pieces[degree] = _graded_piece(M, degree)
-        return pieces[degree]
-
-    src_degs = F.terms[k].gen_degrees
-    dst_degs = F.terms[k + 1].gen_degrees
-    src_blocks = [piece(vadd(b, a)) for a in src_degs]
-    dst_blocks = [piece(vadd(b, c)) for c in dst_degs]
-    src_off = list(itertools.accumulate((len(bas) for bas, _ in src_blocks), initial=0))
-    dst_off = list(itertools.accumulate((len(bas) for bas, _ in dst_blocks), initial=0))
+    mul = M.ring.codec.mul
+    term_nf = M.relations.gb().term_normal_form
+    src_blocks = [M.graded_basis(vadd(b, a)) for a in F.terms[k].gen_degrees]
+    dst_degs = [vadd(b, c) for c in F.terms[k + 1].gen_degrees]
+    dst_index = {
+        deg: {term_key(K, pos): i for i, (pos, K) in enumerate(M.graded_basis(deg))}
+        for deg in set(dst_degs)
+    }
+    src_off = list(itertools.accumulate(map(len, src_blocks), initial=0))
+    dst_off = list(itertools.accumulate((len(dst_index[d]) for d in dst_degs), initial=0))
     rows: list[SparseRow] = [{} for _ in range(src_off[-1])]
-    cols = F.maps[k]
-    for kk, col in enumerate(cols):
-        dst_bas, dst_idx = dst_blocks[kk]
-        if not dst_bas:
+    for kk, col in enumerate(F.maps[k]):
+        dst_idx = dst_index[dst_degs[kk]]
+        if not dst_idx:
             continue
+        off = dst_off[kk]
         # column kk of d_{k+1} has entries p_{j,kk} in coordinate j
-        entries: dict[int, Polynomial] = {}
+        entries: dict[int, list[tuple[int, int]]] = {}
         for t, c in col.terms.items():
             entries.setdefault(term_pos(t), []).append((term_mono(t), c))
         for j, mono_terms in entries.items():
-            src_bas, _ = src_blocks[j]
-            for col_i, (pos, K) in enumerate(src_bas):
-                # multiply the basis monomial by the polynomial entry; the
-                # entry's monomials are distinct, so their products are too
-                elt = ModuleElement(
-                    M.free,
-                    {term_key(ring.codec.mul(K, K2), pos): c2 for K2, c2 in mono_terms},
-                )
+            for col_i, (pos, K) in enumerate(src_blocks[j]):
+                # the normal form is linear: sum the memoised normal forms of
+                # the basis monomial times each monomial of the entry; echelon
+                # reduces the entries mod p
                 row = rows[src_off[j] + col_i]
-                for t2, c3 in gb.normal_form(elt).terms.items():
-                    row[dst_off[kk] + dst_idx[(term_pos(t2), term_mono(t2))]] = c3
+                for K2, c2 in mono_terms:
+                    for t2, c3 in term_nf(term_key(mul(K, K2), pos)):
+                        c = off + dst_idx[t2]
+                        row[c] = row.get(c, 0) + c2 * c3
     return rows
 
 
@@ -215,7 +195,6 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
     F = _irrelevant_power_resolution(ring, t)
     if i > F.length:
         return 0
-    pieces: dict = {}
     dim_i = sum(
         len(M.graded_basis(vadd(b, a))) for a in F.terms[i].gen_degrees
     )
@@ -223,11 +202,16 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
         return 0
     rank_out = 0
     if i < F.length:
-        rank_out = len(echelon_mod_p(_hom_matrix(M, F, i, b, pieces), ring.char))
+        rank_out = len(echelon_mod_p(_hom_matrix(M, F, i, b), ring.char))
     rank_in = 0
     if i >= 1:
-        rank_in = len(echelon_mod_p(_hom_matrix(M, F, i - 1, b, pieces), ring.char))
+        rank_in = len(echelon_mod_p(_hom_matrix(M, F, i - 1, b), ring.char))
     return dim_i - rank_out - rank_in
+
+
+def _check_t_max(t_max: int) -> None:
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
 
 
 def local_cohomology_dim(
@@ -240,8 +224,9 @@ def local_cohomology_dim(
 
     Returns (dimension, stabilized).  Stabilization is declared when two
     consecutive values of t agree; if t_max is reached first the last value
-    is returned with the flag false.
+    is returned with the flag false.  t_max must be at least 1.
     """
+    _check_t_max(t_max)
     if isinstance(M, Submodule):
         M = QuotientModule.cyclic(M) if M.module.rank == 1 else None
         if M is None:
@@ -484,8 +469,10 @@ def regularity_check(
     are genuinely more demanding (for instance they probe twists below d in
     one factor), and several classical examples satisfy only the default
     condition.  A nonzero witness refutes d for the chosen regions exactly;
-    an empty failure list means "consistent-in-window" only.
+    an empty failure list means "consistent-in-window" only.  t_max, the
+    largest exponent of the Ext-colimit fallback, must be at least 1.
     """
+    _check_t_max(t_max)
     if isinstance(M, Submodule):
         M = QuotientModule.cyclic(M)
     ring = M.ring

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .ring import Multidegree, Polynomial, RingSpec, vadd
+from .ring import EXP_MAX, Multidegree, Polynomial, RingSpec, vadd
 
 POS_BITS = 20
 POS_MAX = (1 << POS_BITS) - 1
@@ -167,6 +167,8 @@ class ModuleElement:
         coeff %= p
         if not coeff or not self.terms:
             return self.module.zero()
+        if ring.codec.wdeg(term_mono(max(self.terms))) + ring.codec.wdeg(key) > EXP_MAX:
+            raise OverflowError("weighted degree exceeds packed-monomial capacity")
         shift = (key - ring.codec.C0) << POS_BITS
         return ModuleElement(
             self.module, {t + shift: (c * coeff) % p for t, c in self.terms.items()}
@@ -468,7 +470,7 @@ class GroebnerEngine:
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule, with normal-form service."""
 
-    __slots__ = ("module", "elements", "_index")
+    __slots__ = ("module", "elements", "_index", "_term_nf")
 
     def __init__(self, module: FreeModule, elements: list[ModuleElement]):
         self.module = module
@@ -476,6 +478,7 @@ class GroebnerBasis:
         self._index = LeadIndex(module.ring)
         for e in elements:
             self._index.add(e.terms)
+        self._term_nf: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -494,6 +497,17 @@ class GroebnerBasis:
 
     def normal_form(self, elt: ModuleElement) -> ModuleElement:
         return ModuleElement(self.module, self._index.reduce(dict(elt.terms), full=True))
+
+    def term_normal_form(self, tkey: int) -> tuple[tuple[int, int], ...]:
+        """Normal form of the monic term ``tkey`` as (term key, coeff) pairs.
+
+        Memoised: the basis never changes after it is built, so each term is
+        reduced once.  The value is a tuple so that no caller can alter it.
+        """
+        nf = self._term_nf.get(tkey)
+        if nf is None:
+            nf = self._term_nf[tkey] = tuple(self._index.reduce({tkey: 1}, full=True).items())
+        return nf
 
     def contains(self, elt: ModuleElement) -> bool:
         return not self.normal_form(elt).terms

@@ -103,7 +103,7 @@ def free_rank_one(ring: RingSpec) -> FreeModule:
 class QuotientModule:
     """A cokernel presentation F / W with W a submodule of the free module F."""
 
-    __slots__ = ("free", "relations", "_resolution")
+    __slots__ = ("free", "relations", "_resolution", "_graded_bases")
 
     def __init__(self, free: FreeModule, relations: Submodule):
         if relations.module != free:
@@ -111,6 +111,7 @@ class QuotientModule:
         self.free = free
         self.relations = relations
         self._resolution = None
+        self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":
@@ -126,14 +127,21 @@ class QuotientModule:
     def hilbert_function(self, degree: Multidegree) -> int:
         return hilbert_function(self, degree)
 
-    def graded_basis(self, degree: Multidegree) -> list[tuple[int, int]]:
-        """Standard monomial basis [(position, monomial key)] of degree ``degree``."""
-        gb = self.relations.gb()
-        return [
-            (pos, K)
-            for pos, gdeg in enumerate(self.free.gen_degrees)
-            for K in _standard_monomials(self.ring, gb.leads_at(pos), vsub(degree, gdeg))
-        ]
+    def graded_basis(self, degree: Multidegree) -> tuple[tuple[int, int], ...]:
+        """Standard monomial basis ((position, monomial key), ...) of degree ``degree``.
+
+        Memoised per degree: the relations' reduced basis never changes.
+        """
+        degree = tuple(degree)
+        basis = self._graded_bases.get(degree)
+        if basis is None:
+            gb = self.relations.gb()
+            basis = self._graded_bases[degree] = tuple(
+                (pos, K)
+                for pos, gdeg in enumerate(self.free.gen_degrees)
+                for K in _standard_monomials(self.ring, gb.leads_at(pos), vsub(degree, gdeg))
+            )
+        return basis
 
     def __repr__(self) -> str:
         return f"QuotientModule(rank {self.free.rank}, {len(self.relations.gens)} relations)"

@@ -562,6 +562,8 @@ class Polynomial:
         coeff %= p
         if not coeff or not self.terms:
             return ring.zero()
+        if ring.codec.wdeg(max(self.terms)) + ring.codec.wdeg(key) > EXP_MAX:
+            raise OverflowError("weighted degree exceeds packed-monomial capacity")
         shift = key - ring.codec.C0
         return Polynomial(ring, {k + shift: (c * coeff) % p for k, c in self.terms.items()})
 

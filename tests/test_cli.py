@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virtres.cli import JobSpec, ParseError, main, parse_job, render_job
 from virtres.fixtures import curve_ideal, curve_ring, hirzebruch_ideal, surface_ideal
@@ -78,6 +79,7 @@ def test_round_trip_render_parse():
         ("ring P(1,1)\nideal I = z0", "unknown variable 'z0'"),
         ("ring Q(1,1)", "expected 'P' or 'custom'"),
         ("ring P(1,1)\nideal I = x(9,9)", "out of range"),
+        ("ring P(1,1)\nideal I = x(1,0)^40000", "exceeds packed-monomial capacity"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -91,6 +93,26 @@ def test_parse_error_carries_line_and_column():
         parse_job("ring P(1,1)\nideal I = x(1,0) @ x(2,0)")
     assert exc.value.line == 2
     assert "col" in str(exc.value)
+
+
+BUNDLED_VR = {path: open(path, encoding="utf-8").read() for path in (CURVE_VR, HIRZEBRUCH_VR)}
+VR_ALPHABET = sorted(set("".join(BUNDLED_VR.values())))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_bundled_files_parse_or_raise_parse_error(data):
+    text = BUNDLED_VR[data.draw(st.sampled_from(sorted(BUNDLED_VR)))]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + data.draw(st.sampled_from(VR_ALPHABET)) + text[i:]
+    try:
+        parse_job(text)
+    except ParseError:
+        pass
 
 
 def test_inhomogeneous_generator_names_witness_terms():
@@ -154,6 +176,14 @@ def test_usage_errors_exit_2(capsys):
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.vr"
     bad.write_text("ring P(1,1)\nideal I = x(1,0) + x(2,0)\n")
+    assert main(["res", "--ideal", str(bad)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_mutated_bundled_file_exit_2(tmp_path, capsys):
+    # four inserted digits push an exponent past the packed-monomial range
+    bad = tmp_path / "curve.vr"
+    bad.write_text(BUNDLED_VR[CURVE_VR].replace("^3", "^39999", 1))
     assert main(["res", "--ideal", str(bad)]) == 2
     assert "parse error" in capsys.readouterr().err
 

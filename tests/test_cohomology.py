@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virtres import (
+    FreeModule,
+    ModuleElement,
     QuotientModule,
     RingSpec,
     Submodule,
@@ -15,6 +17,7 @@ from virtres import (
     delta_set,
     euler_char_line,
     free_resolution,
+    groebner_basis,
     hilbert_function,
     ideal,
     irrelevant_power,
@@ -28,7 +31,8 @@ from virtres import (
     virtual_of_pair,
 )
 from virtres.cohomology import binom_poly
-from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, surface_ideal
+from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, curve_ring, surface_ideal
+from virtres.groebner import GroebnerBasis, LeadIndex, term_key
 
 R11 = RingSpec.product([1, 1], char=101)
 
@@ -160,6 +164,16 @@ def test_regularity_check_curve():
     ]
 
 
+def test_t_max_below_one_is_rejected():
+    # with no Ext exponent to try, the fallback used to report dimension None,
+    # which read as zero: a refutable window came back consistent
+    M = QuotientModule.cyclic(curve_ideal())
+    with pytest.raises(ValueError, match="t_max"):
+        regularity_check(M, (0, 0), window=((0, 0), (0, 5)), t_max=0)
+    with pytest.raises(ValueError, match="t_max"):
+        local_cohomology_dim(M, 1, (0, 0), t_max=0)
+
+
 def test_regularity_check_surface():
     M = QuotientModule.cyclic(surface_ideal())
     rep = regularity_check(M, (1, 1))
@@ -185,6 +199,90 @@ def test_regularity_json_shape():
     d = rep.to_json_dict()
     assert d["candidate"] == [2, 1] and d["verdict"] == "consistent-in-window"
     assert d["failures"] == []
+
+
+# -- memos of the Ext-colimit fallback -------------------------------------------
+
+
+def _rank_two_module() -> QuotientModule:
+    """A rank-2 quotient over the curve's ring; most of its normal forms
+    have several terms, spread over both positions."""
+    R = curve_ring()
+    F = FreeModule(R, [(0, 0), (1, 0)])
+    x = R.x
+    e0, e1 = F.basis_element(0), F.basis_element(1)
+    gens = [
+        e0.poly_mul(x(1, 0) * x(2, 0) + x(1, 1) * x(2, 1)) + e1.poly_mul(x(2, 2)),
+        e0.poly_mul(x(1, 0) * x(2, 2) ** 2 - x(1, 1) * x(2, 0) * x(2, 1))
+        + e1.poly_mul(x(2, 0) * x(2, 1) + x(2, 2) ** 2),
+        e1.poly_mul(x(2, 0) ** 2 + x(2, 1) * x(2, 2)),
+    ]
+    return QuotientModule(F, Submodule(F, gens))
+
+
+MEMO_MODULES = {"curve": QuotientModule.cyclic(curve_ideal()), "rank-2": _rank_two_module()}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_term_normal_form_memo_matches_normal_form(data):
+    M = MEMO_MODULES[data.draw(st.sampled_from(sorted(MEMO_MODULES)))]
+    ring, gb = M.ring, M.relations.gb()
+    exps = data.draw(st.lists(st.integers(0, 4), min_size=ring.nvars, max_size=ring.nvars))
+    # the same monomial at every position: the memo must tell them apart
+    tkeys = [term_key(ring.codec.encode(exps), pos) for pos in range(M.free.rank)]
+    # a basis built from the same elements starts with an empty memo
+    fresh = GroebnerBasis(gb.module, gb.elements)
+    misses = [fresh.term_normal_form(tkey) for tkey in tkeys]
+    for tkey, miss in zip(tkeys, misses):
+        want = gb.normal_form(ModuleElement(M.free, {tkey: 1})).terms
+        assert isinstance(miss, tuple) and dict(miss) == want
+        hit = fresh.term_normal_form(tkey)
+        assert hit is miss and dict(hit) == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_graded_basis_memo_matches_fresh_module(data):
+    M = MEMO_MODULES[data.draw(st.sampled_from(sorted(MEMO_MODULES)))]
+    degree = tuple(data.draw(st.integers(-1, 5)) for _ in range(M.ring.rank_grading))
+    fresh = QuotientModule(M.free, Submodule(M.free, M.relations.gens))
+    want = fresh.graded_basis(degree)
+    assert M.graded_basis(degree) == want
+    assert M.graded_basis(list(degree)) == want
+
+
+def test_memos_unchanged_by_regularity_check():
+    M = QuotientModule.cyclic(curve_ideal())
+    regularity_check(M, (0, 0), window=((-2, 0), (0, 0)))
+    memo = M.relations.gb()._term_nf
+    assert memo and M._graded_bases
+    # a basis computed anew from the relations, sharing nothing with the memo
+    gb = groebner_basis(M.relations.gens, module=M.free)
+    for tkey, nf in memo.items():
+        assert dict(nf) == gb.normal_form(ModuleElement(M.free, {tkey: 1})).terms
+    fresh = QuotientModule(M.free, Submodule(M.free, M.relations.gens))
+    for degree, basis in M._graded_bases.items():
+        assert basis == fresh.graded_basis(degree)
+
+
+def test_repeated_regularity_check_makes_no_reductions(monkeypatch):
+    calls = []
+    reduce = LeadIndex.reduce
+
+    def counting_reduce(self, *args, **kwargs):
+        calls.append(1)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(LeadIndex, "reduce", counting_reduce)
+    M = QuotientModule.cyclic(curve_ideal())
+    window = ((-2, 0), (0, 0))
+    first = regularity_check(M, (0, 0), window=window)
+    assert calls and M.relations.gb()._term_nf  # the window reaches the fallback
+    calls.clear()
+    second = regularity_check(M, (0, 0), window=window)
+    assert calls == []
+    assert second == first
 
 
 # -- delta sets and linear truncations -------------------------------------------

@@ -125,6 +125,14 @@ def test_module_groebner_positions():
     assert not gb.contains(e1)
 
 
+def test_module_element_mono_mul_overflow_raises():
+    # x0^30000 * x0^30000 used to wrap into exponents (-5536, 1, 0, 0)
+    f = R11.x(1, 0) ** 30000
+    elt = FreeModule(R11, [(0, 0)]).wrap(f)
+    with pytest.raises(OverflowError):
+        elt.mono_mul(max(f.terms))
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_groebner_basis_is_reduced(data):

@@ -105,6 +105,15 @@ def test_power_and_scale():
     assert (f.scale(0)).terms == {}
 
 
+def test_polynomial_mono_mul_overflow_raises():
+    # x0^30000 * x0^30000 used to wrap into exponents (-5536, 1, 0, 0)
+    f = R11.x(1, 0) ** 30000
+    with pytest.raises(OverflowError):
+        f.mono_mul(max(f.terms))
+    with pytest.raises(OverflowError):
+        f * f
+
+
 def test_multidegree_and_homogeneity():
     x10, x20 = R11.x(1, 0), R11.x(2, 0)
     f = x10 * x20
