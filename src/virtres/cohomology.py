@@ -189,10 +189,20 @@ def _hom_matrix(M: QuotientModule, F: FreeComplex, k: int, b: Multidegree) -> li
     return rows
 
 
+def _hom_rank(M: QuotientModule, t: int, k: int, b: Multidegree) -> int:
+    """Rank of Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b for F the resolution of
+    S/B^[t], memoised on M: Ext^k and Ext^{k+1} at b both need it."""
+    key = (t, k, b)
+    rank = M._hom_ranks.get(key)
+    if rank is None:
+        F = _irrelevant_power_resolution(M.ring, t)
+        rank = M._hom_ranks[key] = len(echelon_mod_p(_hom_matrix(M, F, k, b), M.ring.char))
+    return rank
+
+
 def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
     """dim Ext^i(S/B^[t], M)_b over F_p."""
-    ring = M.ring
-    F = _irrelevant_power_resolution(ring, t)
+    F = _irrelevant_power_resolution(M.ring, t)
     if i > F.length:
         return 0
     dim_i = sum(
@@ -200,12 +210,8 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
     )
     if dim_i == 0:
         return 0
-    rank_out = 0
-    if i < F.length:
-        rank_out = len(echelon_mod_p(_hom_matrix(M, F, i, b), ring.char))
-    rank_in = 0
-    if i >= 1:
-        rank_in = len(echelon_mod_p(_hom_matrix(M, F, i - 1, b), ring.char))
+    rank_out = _hom_rank(M, t, i, b) if i < F.length else 0
+    rank_in = _hom_rank(M, t, i - 1, b) if i >= 1 else 0
     return dim_i - rank_out - rank_in
 
 

@@ -79,22 +79,6 @@ class FreeComplex:
             out = out + cols[term_pos(t)].mono_mul(term_mono(t), c)
         return out
 
-    def is_complex(self) -> bool:
-        for i in range(2, self.length + 1):
-            src = self.terms[i]
-            for j in range(src.rank):
-                if self.apply(i - 1, self.maps[i - 1][j]).terms:
-                    return False
-        return True
-
-    def matrix_entries(self, i: int) -> list[list[Polynomial]]:
-        """d_i as a rank(F_{i-1}) x rank(F_i) matrix of polynomials."""
-        rows = self.terms[i - 1].rank
-        return [
-            [col.coordinate(r) for col in self.maps[i - 1]]
-            for r in range(rows)
-        ]
-
     def betti(self) -> "BettiTable":
         return BettiTable.from_complex(self)
 
@@ -214,9 +198,7 @@ def _iterated_syzygies(
     return None if cols else maps
 
 
-def free_resolution(
-    M: QuotientModule | Submodule, length_cap: int | None = None
-) -> FreeComplex:
+def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     """Minimal free resolution (iterated minimal syzygies).
 
     For a QuotientModule F/W the resolution starts at F; a Submodule input
@@ -233,13 +215,12 @@ def free_resolution(
         cols = syzygy_module(gens)
         cols = [ModuleElement(F0, s.terms) for s in cols]
     else:
-        if M._resolution is not None and length_cap is None:
+        if M._resolution is not None:
             return M._resolution
         terms = [M.free]
         cols = minimal_generators(M.relations.gens, module=M.free)
     ring = terms[0].ring
-    cap = length_cap if length_cap is not None else ring.nvars + 1
-    maps = _iterated_syzygies(terms, cols, cap)
+    maps = _iterated_syzygies(terms, cols, ring.nvars + 1)
     if maps is None:
         raise RuntimeError("resolution did not terminate within the length cap")
     out = FreeComplex(terms, maps)
@@ -253,7 +234,7 @@ def free_resolution(
         for t in col.terms
     ):
         out = minimalize(out)
-    if isinstance(M, QuotientModule) and length_cap is None:
+    if isinstance(M, QuotientModule):
         M._resolution = out
     return out
 

@@ -1,9 +1,12 @@
 """Submodules of free modules and the multigraded ideal/module toolkit.
 
-All inputs are required to be homogeneous for the Z^r grading.  Operations
-that the spec of the toolkit names — intersect (homogenised elimination
-trick), colon, saturation, B-saturation, truncation, Hilbert functions,
-codimension, B-torsion tests — live here.
+All inputs are required to be homogeneous for the Z^r grading.  Here live
+intersection (homogenised elimination trick), colon, saturation,
+B-saturation, truncation, Hilbert functions, codimension and B-torsion tests.
+One colon routine, ``quotient``, takes a form, a list of forms or an ideal
+and needs a single syzygy computation; ``saturate`` repeats it until the
+result stops growing, and ``b_saturate`` saturates by each irrelevant prime
+in turn.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def free_rank_one(ring: RingSpec) -> FreeModule:
 class QuotientModule:
     """A cokernel presentation F / W with W a submodule of the free module F."""
 
-    __slots__ = ("free", "relations", "_resolution", "_graded_bases")
+    __slots__ = ("free", "relations", "_resolution", "_graded_bases", "_hom_ranks")
 
     def __init__(self, free: FreeModule, relations: Submodule):
         if relations.module != free:
@@ -112,6 +115,8 @@ class QuotientModule:
         self.relations = relations
         self._resolution = None
         self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
+        # ranks of the Ext-colimit's Hom maps, keyed on (t, k, b); see cohomology
+        self._hom_ranks: dict[tuple[int, int, Multidegree], int] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":
@@ -251,97 +256,76 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
 # colon and saturation
 
 
-def quotient(A: Submodule, f: Polynomial) -> Submodule:
-    """The colon module (A : f)."""
-    if not f.terms:
-        raise ValueError("colon by zero")
-    f.multidegree()
+def _colon_forms(
+    ring: RingSpec, J: Polynomial | Sequence[Polynomial] | Submodule
+) -> list[Polynomial]:
+    """The nonzero homogeneous forms of ``ring`` generating J."""
+    if isinstance(J, Submodule):
+        if J.module.rank != 1:
+            raise ValueError("the colon ideal must have a rank-one ambient")
+        J = [g.coordinate(0) for g in J.gens]
+    elif isinstance(J, Polynomial):
+        J = [J]
+    forms = [f for f in J if f.terms]
+    if not forms:
+        raise ValueError("colon by the zero ideal")
+    for f in forms:
+        if f.ring != ring:
+            raise ValueError("the colon ideal lives in a different ring")
+        f.multidegree()  # raises with a witness if inhomogeneous
+    return forms
+
+
+def quotient(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> Submodule:
+    """The colon module (A : J) for J a form, a list of forms or an ideal.
+
+    g lies in (A : (f_1, ..., f_s)) exactly when (g*f_1, ..., g*f_s) lies in
+    A^s.  So (A : J) is the first block of the syzygies, in F^s with block
+    i's generator degrees shifted by -deg f_i, of the columns
+    e_j*(f_1, ..., f_s) followed by the blocks a*e_i for a in A.
+    """
+    forms = _colon_forms(A.ring, J)
     if A.is_zero():
         return A
     F = A.module
-    ring = A.ring
-    if A.is_monomial() and len(f.terms) == 1:
-        (kf,) = f.terms
-        codec = ring.codec
-        terms = []
-        for pos, K in _monomial_gens(A):
-            e1 = codec.decode(K)
-            e2 = codec.decode(kf)
-            g = codec.encode(tuple(min(a, b) for a, b in zip(e1, e2)))
-            terms.append((pos, codec.quot(K, g)))
-        return _from_monomials(F, terms)
-    m = len(A.gens)
-    gens = list(A.gens)
-    for j in range(F.rank):
-        gens.append(F.basis_element(j).poly_mul(f))
-    syz = syzygy_module(gens, minimalize=False)
+    r = F.rank
+    Fs = FreeModule(
+        A.ring, [vsub(a, f.multidegree()) for f in forms for a in F.gen_degrees]
+    )
+    gens = [
+        ModuleElement(
+            Fs,
+            {term_key(K, i * r + j): c for i, f in enumerate(forms) for K, c in f.terms.items()},
+        )
+        for j in range(r)
+    ]
+    # a term key's position field is complemented: key - n moves it n places on
+    for i in range(len(forms)):
+        gens += [ModuleElement(Fs, {t - i * r: c for t, c in a.terms.items()}) for a in A.gens]
     out = []
-    for s in syz:
-        terms = {}
-        for t, c in s.terms.items():
-            pos = term_pos(t)
-            if pos >= m:
-                terms[term_key(term_mono(t), pos - m)] = c
+    for s in syzygy_module(gens, minimalize=False):
+        terms = {t: c for t, c in s.terms.items() if term_pos(t) < r}
         if terms:
             out.append(ModuleElement(F, terms))
     return Submodule(F, minimal_generators(out, module=F))
 
 
-def saturate(A: Submodule, f: Polynomial) -> Submodule:
-    """The saturation (A : f^infinity)."""
-    if not f.terms:
-        raise ValueError("saturation by zero")
-    if A.is_zero():
-        return A
-    if A.is_monomial() and len(f.terms) == 1:
-        (kf,) = f.terms
-        ring = A.ring
-        codec = ring.codec
-        support = [j for j, e in enumerate(codec.decode(kf)) if e]
-        terms = []
-        for pos, K in _monomial_gens(A):
-            exps = list(codec.decode(K))
-            for j in support:
-                exps[j] = 0
-            terms.append((pos, codec.encode(exps)))
-        return _from_monomials(A.module, terms)
-    current = A
+def saturate(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> Submodule:
+    """The saturation (A : J^infinity): A <- (A : J) until it stops growing."""
     while True:
-        nxt = quotient(current, f)
-        if current.contains_submodule(nxt):
-            return current
-        current = nxt
-
-
-def saturate_by_ideal(A: Submodule, J: Submodule | Sequence[Polynomial]) -> Submodule:
-    """The saturation (A : J^infinity) = ∩_f (A : f^infinity) over gens f of J."""
-    if isinstance(J, Submodule):
-        if J.module.rank != 1:
-            raise ValueError("saturating ideal must have rank-one ambient")
-        polys = [g.coordinate(0) for g in J.gens]
-    else:
-        polys = list(J)
-    if not polys:
-        raise ValueError("saturating ideal has no generators")
-    parts = [saturate(A, f) for f in polys]
-    unchanged = [P for P in parts if A.contains_submodule(P)]
-    if len(unchanged) == len(parts):
-        return A
-    result = parts[0]
-    for P in parts[1:]:
-        if result.contains_submodule(P) and P.contains_submodule(result):
-            continue
-        result = intersect(result, P)
-    return result
+        nxt = quotient(A, J)
+        if A.contains_submodule(nxt):
+            return A
+        A = nxt
 
 
 def b_saturate(A: Submodule) -> Submodule:
-    """Saturation with respect to the irrelevant ideal B = ∩_i P_i."""
-    current = A
-    for prime in A.ring.irrelevant_primes:
-        vars_ = [current.ring.variable(j) for j in prime]
-        current = saturate_by_ideal(current, vars_)
-    return current
+    """Saturation (A : B^infinity) by the irrelevant ideal B = ∩_i P_i, one
+    prime at a time: (A : (P Q)^infinity) = ((A : P^infinity) : Q^infinity)."""
+    ring = A.ring
+    for prime in ring.irrelevant_primes:
+        A = saturate(A, [ring.variable(j) for j in prime])
+    return A
 
 
 def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:

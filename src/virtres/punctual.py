@@ -230,10 +230,10 @@ def _evaluation_ideal(
 def points_ideal(config: PointConfig, resample: bool = True) -> Submodule:
     """B-saturated ideal of the configuration, with a genericity gate.
 
-    Intersects the per-point saturated ideals and B-saturates.  On product
-    rings the Hilbert function is compared against min(HF(S, d), m) on a
-    probe window; a mismatch warns "non-generic sample" (and, for seeded
-    configurations, resamples up to 5 times first).
+    Intersects the per-point saturated ideals.  On product rings the Hilbert
+    function is compared against min(HF(S, d), m) on a probe window; a
+    mismatch warns "non-generic sample" (and, for seeded configurations,
+    resamples up to 5 times first).
     """
     ring = config.ring
     attempts = 5 if (resample and config.seed is not None) else 1
@@ -260,7 +260,9 @@ def _points_ideal_raw(config: PointConfig) -> Submodule:
             else _evaluation_ideal(ring, [_flat_coords(ring, pt)])
         )
         I = P if I is None else intersect(I, P)
-    return b_saturate(I)
+    # each point ideal is B-saturated, and saturation commutes with
+    # intersection, so I is B-saturated already
+    return I
 
 
 def _generic_hilbert_gate(I: Submodule, m: int) -> bool:

@@ -33,6 +33,10 @@ FIELD_BITS = 16
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1  # 32767; exponents must stay below this
 WDEG_BITS = 24  # elimination layout reserves this many bits for wdeg
 INT64_MAX = (1 << 63) - 1
+# a packed key holds 16 bits per variable, so building a ring (one key per
+# variable) grows quadratically in the variable count; the bundled rings
+# have at most 7 variables
+MAX_VARS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +49,6 @@ def vadd(a: Multidegree, b: Multidegree) -> Multidegree:
 
 def vsub(a: Multidegree, b: Multidegree) -> Multidegree:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a: Multidegree) -> Multidegree:
-    return tuple(-x for x in a)
 
 
 def vmax(a: Multidegree, b: Multidegree) -> Multidegree:
@@ -262,6 +262,8 @@ class RingSpec:
         self.char = char
         self.var_degrees = tuple(tuple(d) for d in var_degrees)
         self.nvars = len(self.var_degrees)
+        if not 0 < self.nvars <= MAX_VARS:
+            raise ValueError(f"a ring has 1 to {MAX_VARS} variables, got {self.nvars}")
         self.rank_grading = len(self.var_degrees[0])
         if any(len(d) != self.rank_grading for d in self.var_degrees):
             raise ValueError("inconsistent multidegree lengths")
@@ -420,17 +422,6 @@ class RingSpec:
             return self.zero()
         return Polynomial(self, {self.codec.encode(exps): coeff})
 
-    def from_terms(self, terms: Iterable[tuple[Sequence[int], int]]) -> "Polynomial":
-        d: dict[int, int] = {}
-        for exps, c in terms:
-            k = self.codec.encode(exps)
-            c = (d.get(k, 0) + c) % self.char
-            if c:
-                d[k] = c
-            else:
-                d.pop(k, None)
-        return Polynomial(self, d)
-
     def variables(self) -> list["Polynomial"]:
         return [self.variable(j) for j in range(self.nvars)]
 
@@ -512,15 +503,6 @@ class Polynomial:
 
     def copy(self) -> "Polynomial":
         return Polynomial(self.ring, dict(self.terms))
-
-    def lead_key(self) -> int:
-        return max(self.terms)
-
-    def lead_coeff(self) -> int:
-        return self.terms[max(self.terms)]
-
-    def lead_monomial_exps(self) -> tuple[int, ...]:
-        return self.ring.codec.decode(max(self.terms))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         p = self.ring.char

@@ -188,6 +188,13 @@ def test_mutated_bundled_file_exit_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_oversized_ring_exit_2(tmp_path, capsys):
+    bad = tmp_path / "big.vr"
+    bad.write_text("ring P(1,20000)\nideal I = x(1,0)\n")
+    assert main(["res", "--ideal", str(bad)]) == 2
+    assert "1 to 1000 variables, got 20003" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("char", [32002, 1])
 def test_bad_characteristic_exit_2(tmp_path, capsys, char):
     bad = tmp_path / "bad.vr"

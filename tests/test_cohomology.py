@@ -30,6 +30,7 @@ from virtres import (
     truncate,
     virtual_of_pair,
 )
+from virtres import cohomology
 from virtres.cohomology import binom_poly
 from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, curve_ring, surface_ideal
 from virtres.groebner import GroebnerBasis, LeadIndex, term_key
@@ -147,6 +148,15 @@ def test_local_cohomology_h0_is_b_torsion_dimension():
 # -- regularity -----------------------------------------------------------------
 
 
+# the failure witnesses (i, p, dim) of the curve's default (0,0) check
+CURVE_00_WITNESSES = [
+    (2, (0, 0), 4), (1, (0, 1), 2), (1, (0, 2), 7), (1, (0, 3), 11),
+    (1, (0, 4), 14), (1, (0, 5), 16), (1, (0, 6), 17), (1, (0, 7), 17),
+    (1, (0, 8), 17), (2, (1, 0), 3), (1, (1, 1), 1), (1, (1, 2), 3),
+    (1, (1, 3), 3), (1, (1, 4), 1), (2, (2, 0), 2), (2, (3, 0), 1),
+]
+
+
 def test_regularity_check_curve():
     M = QuotientModule.cyclic(curve_ideal())
     rep = regularity_check(M, (2, 1))
@@ -156,12 +166,7 @@ def test_regularity_check_curve():
     assert rep.window == ((-2, -3), (3, 8))
     assert rep.verdict == "refuted"
     assert rep.unstabilized == []
-    assert rep.checks == [
-        (2, (0, 0), 4), (1, (0, 1), 2), (1, (0, 2), 7), (1, (0, 3), 11),
-        (1, (0, 4), 14), (1, (0, 5), 16), (1, (0, 6), 17), (1, (0, 7), 17),
-        (1, (0, 8), 17), (2, (1, 0), 3), (1, (1, 1), 1), (1, (1, 2), 3),
-        (1, (1, 3), 3), (1, (1, 4), 1), (2, (2, 0), 2), (2, (3, 0), 1),
-    ]
+    assert rep.checks == CURVE_00_WITNESSES
 
 
 def test_t_max_below_one_is_rejected():
@@ -283,6 +288,24 @@ def test_repeated_regularity_check_makes_no_reductions(monkeypatch):
     second = regularity_check(M, (0, 0), window=window)
     assert calls == []
     assert second == first
+
+
+def test_regularity_check_builds_each_hom_matrix_once(monkeypatch):
+    # Ext^k and Ext^{k+1} at one twist share the map Hom(F_k, M) -> Hom(F_{k+1}, M);
+    # its rank is kept on the module, so no (t, k, b) is built twice
+    calls = []
+    hom_matrix = cohomology._hom_matrix
+
+    def counting_hom_matrix(M, F, k, b):
+        calls.append((id(F), k, tuple(b)))  # F, one per t, lives in a module cache
+        return hom_matrix(M, F, k, b)
+
+    monkeypatch.setattr(cohomology, "_hom_matrix", counting_hom_matrix)
+    rep = regularity_check(QuotientModule.cyclic(curve_ideal()), (0, 0))
+    assert len(calls) == len(set(calls)) == 61
+    assert rep.verdict == "refuted"
+    assert rep.unstabilized == []
+    assert rep.checks == CURVE_00_WITNESSES
 
 
 # -- delta sets and linear truncations -------------------------------------------

@@ -1,11 +1,14 @@
 """Ideal operations: intersection, colon, saturation, truncation, Hilbert data."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virtres import (
+    FreeModule,
     Polynomial,
     QuotientModule,
     RingSpec,
@@ -20,7 +23,6 @@ from virtres import (
     is_b_torsion,
     quotient,
     saturate,
-    saturate_by_ideal,
     truncate,
 )
 from virtres.fixtures import (
@@ -109,7 +111,7 @@ def test_saturate_by_ideal_matches_iterated_variable_saturation():
     x0, x1, y0, y1 = R11.variables()
     I = ideal(R11, [x0 ** 2 * y0 ** 2, x0 ** 2 * x1 * y1, x1 ** 3 * y0 * y1])
     J = ideal(R11, [x0, x1])
-    left = saturate_by_ideal(I, J)
+    left = saturate(I, J)
     # saturating by <x0,x1> = intersecting the two single-variable saturations
     right = intersect(saturate(I, x0), saturate(I, x1))
     assert same_ideal(left, right)
@@ -138,6 +140,82 @@ def test_b_saturate_derives_the_hirzebruch_example():
     I = hirzebruch_ideal()
     assert I.ring == R
     assert [g.terms for g in J.minimalized().gens] == [g.terms for g in I.gens]
+
+
+# -- oracles for the colon by an ideal -------------------------------------------
+
+
+@st.composite
+def forms(draw, ring, degree, max_terms=3):
+    """A nonzero form of the given degree with up to ``max_terms`` terms."""
+    keys = ring.monomials_of_degree(degree)
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=max_terms, unique=True))
+    return Polynomial(ring, {k: draw(st.integers(1, ring.char - 1)) for k in chosen})
+
+
+small_degrees = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda d: d != (0, 0))
+
+
+@st.composite
+def submodules(draw):
+    """A homogeneous ideal of P^1 x P^1, or a submodule of S + S(-1,0)."""
+    rank = draw(st.integers(1, 2))
+    F = FreeModule(R11, [(0, 0), (1, 0)][:rank])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(small_degrees)
+        coords = [
+            draw(forms(R11, dg)) if min(dg) >= 0 and draw(st.booleans()) else R11.zero()
+            for dg in (tuple(c - a for c, a in zip(d, shift)) for shift in F.gen_degrees)
+        ]
+        if not any(coords):
+            coords[0] = draw(forms(R11, d))
+        gens.append(F.element_from_coords(coords))
+    return Submodule(F, gens)
+
+
+colon_degrees = st.tuples(st.integers(0, 1), st.integers(0, 1)).filter(lambda d: d != (0, 0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_colon_by_two_forms_is_intersection_of_colons(data):
+    A = data.draw(submodules())
+    f = data.draw(forms(R11, data.draw(colon_degrees), max_terms=2))
+    g = data.draw(forms(R11, data.draw(colon_degrees), max_terms=2))
+    Q = quotient(A, [f, g])
+    assert Q == intersect(quotient(A, f), quotient(A, g))
+    # every generator g' of (A : J) has g' * J inside A
+    for q in Q.gens:
+        assert A.contains(q.poly_mul(f)) and A.contains(q.poly_mul(g))
+
+
+def b_saturate_by_variables(A):
+    """Reference B-saturation: per prime, saturate by each variable, then intersect."""
+    for prime in A.ring.irrelevant_primes:
+        A = functools.reduce(intersect, [saturate(A, A.ring.variable(j)) for j in prime])
+    return A
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=submodules())
+def test_b_saturate_matches_per_variable_saturations(A):
+    S = b_saturate(A)
+    assert S == b_saturate_by_variables(A)
+    assert S.contains_submodule(A)
+
+
+def test_colon_by_zero_empty_non_ideal_or_foreign_ideal_raises():
+    x0, x1, y0, y1 = R11.variables()
+    I = ideal(R11, [x0 * y0])
+    F2 = FreeModule(R11, [(0, 0), (0, 0)])
+    rank_two = Submodule(F2, [F2.element_from_coords([x0, x1])])
+    other_ring = RingSpec.product([1, 2], char=101)
+    for J in (R11.zero(), [R11.zero()], [], ideal(R11, []), rank_two, other_ring.variable(4)):
+        with pytest.raises(ValueError):
+            quotient(I, J)
+        with pytest.raises(ValueError):
+            saturate(I, J)
 
 
 # -- B and its powers -------------------------------------------------------

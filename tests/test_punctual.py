@@ -103,6 +103,20 @@ def test_points_ideal_hilbert_gate():
         assert hilbert_function(M, d) == min(R11.hilbert_series_free(d), 4)
 
 
+@pytest.mark.parametrize(
+    "kind,m",
+    [("P1xP1", 1), ("P1xP1", 3), ("P1xP1", 5), ("del Pezzo", 2), ("del Pezzo", 3)],
+)
+def test_points_ideal_is_b_saturated(kind, m):
+    # an intersection of B-saturated point ideals needs no final saturation
+    if kind == "P1xP1":
+        cfg = random_points(R11, m, seed=m)
+    else:
+        cfg = PointConfig(del_pezzo_ring(), [(pt,) for pt in DEL_PEZZO_POINTS[:m]])
+    I = points_ideal(cfg)
+    assert b_saturate(I) == I
+
+
 def test_del_pezzo_three_points_resolution():
     R = del_pezzo_ring()
     cfg = PointConfig(R, [(pt,) for pt in DEL_PEZZO_POINTS])

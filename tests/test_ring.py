@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from virtres import Polynomial, RingSpec, vadd, vleq, vsub
 from virtres.punctual import _nullspace_mod_p
-from virtres.ring import echelon_mod_p
+from virtres.ring import MAX_VARS, echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -180,6 +180,17 @@ def test_characteristic_must_be_a_small_prime(char):
 
 def test_largest_characteristic_accepted():
     assert RingSpec.product([1, 1], char=P_MAX).char == P_MAX
+
+
+def test_variable_count_is_bounded():
+    # P^{MAX_VARS - 1} has exactly MAX_VARS variables
+    assert RingSpec.product([MAX_VARS - 1], char=101).nvars == MAX_VARS
+    with pytest.raises(ValueError, match=f"1 to {MAX_VARS} variables"):
+        RingSpec.product([1, MAX_VARS], char=101)
+    with pytest.raises(ValueError, match=f"1 to {MAX_VARS} variables"):
+        RingSpec.custom([(1,)] * (MAX_VARS + 1), [list(range(MAX_VARS + 1))], char=101)
+    with pytest.raises(ValueError, match=f"1 to {MAX_VARS} variables"):
+        RingSpec.custom([], [], char=101)
 
 
 def _rank_oracle(rows, p):

@@ -1,0 +1,33 @@
+"""The benchmark tracer patches virtres functions by name; keep those names alive."""
+
+import ast
+import functools
+import importlib
+from pathlib import Path
+
+import pytest
+
+import virtres
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def traced_spans() -> list[tuple[str, str]]:
+    """The SPANS tuple of the tracer, read without importing it (it needs numpy)."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets
+        ):
+            return [tuple(pair) for pair in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracer.py defines no SPANS")
+
+
+@pytest.mark.parametrize("module,attr", traced_spans())
+def test_traced_span_resolves(module, attr):
+    mod = importlib.import_module(f"virtres.{module}")
+    assert callable(functools.reduce(getattr, attr.split("."), mod))
+
+
+def test_every_exported_name_exists():
+    missing = [name for name in virtres.__all__ if not hasattr(virtres, name)]
+    assert missing == []
