@@ -71,14 +71,6 @@ class FreeComplex:
         """Columns of d_i : F_i -> F_{i-1} (i between 1 and length)."""
         return self.maps[i - 1]
 
-    def apply(self, i: int, elt: ModuleElement) -> ModuleElement:
-        """Apply d_i to an element of F_i."""
-        cols = self.maps[i - 1]
-        out = self.terms[i - 1].zero()
-        for t, c in sorted(elt.terms.items()):
-            out = out + cols[term_pos(t)].mono_mul(term_mono(t), c)
-        return out
-
     def betti(self) -> "BettiTable":
         return BettiTable.from_complex(self)
 

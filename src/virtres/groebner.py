@@ -357,10 +357,6 @@ class GroebnerEngine:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _pos_wdeg(self, pos: int) -> int:
-        deg = self.module.gen_degrees[pos]
-        return sum(w * c for w, c in zip(self.ring.weights, deg))
-
     def _append(self, f: dict[int, int], rep: dict[int, int] | None) -> None:
         codec = self.codec
         idx = self.index
@@ -368,7 +364,7 @@ class GroebnerEngine:
         idx.add(f, rep)
         K = idx.lead_K[b]
         pos = idx.lead_pos[b]
-        pw0 = self._pos_wdeg(pos)
+        pw0 = element_wdeg(self.module, self.module.gen_degrees[pos])
         # the coprime-lead (product) criterion is only valid in rank one;
         # with tracking the skipped pair still owes its Koszul syzygy
         use_product = self.module.rank == 1

@@ -1,12 +1,13 @@
 """Submodules of free modules and the multigraded ideal/module toolkit.
 
 All inputs are required to be homogeneous for the Z^r grading.  Here live
-intersection (homogenised elimination trick), colon, saturation,
-B-saturation, truncation, Hilbert functions, codimension and B-torsion tests.
-One colon routine, ``quotient``, takes a form, a list of forms or an ideal
-and needs a single syzygy computation; ``saturate`` repeats it until the
-result stops growing, and ``b_saturate`` saturates by each irrelevant prime
-in turn.
+intersection, colon, saturation, B-saturation, truncation, Hilbert
+functions, codimension and B-torsion tests.  One private routine, ``_colon``,
+finds the g with g*f_i in A_i for every block (f_i, A_i) in a single syzygy
+computation.  ``quotient`` (A : J) calls it with blocks (f, A), one per form
+f of J, and ``intersect`` A ∩ B with blocks (1, A) and (1, B).  ``saturate``
+repeats the colon until the result stops growing, and ``b_saturate``
+saturates by each irrelevant prime in turn.
 """
 
 from __future__ import annotations
@@ -17,15 +18,21 @@ from .groebner import (
     FreeModule,
     GroebnerBasis,
     ModuleElement,
-    POS_BITS,
     groebner_basis,
     minimal_generators,
     syzygy_module,
     term_key,
-    term_mono,
     term_pos,
 )
-from .ring import Multidegree, Polynomial, RingSpec, _weak_compositions, vmax, vsub
+from .ring import (
+    MonomialCodec,
+    Multidegree,
+    Polynomial,
+    RingSpec,
+    _weak_compositions,
+    vmax,
+    vsub,
+)
 
 
 class Submodule:
@@ -82,9 +89,6 @@ class Submodule:
     def minimalized(self) -> "Submodule":
         out = Submodule(self.module, minimal_generators(self.gens, module=self.module))
         return out
-
-    def is_monomial(self) -> bool:
-        return all(len(g.terms) == 1 for g in self.gens)
 
     def gen_degrees(self) -> list[Multidegree]:
         return [g.multidegree() for g in self.gens]
@@ -161,99 +165,58 @@ def _standard_monomials(ring: RingSpec, leads: list[int], degree: Multidegree) -
 
 
 # ---------------------------------------------------------------------------
-# monomial fast paths
+# colon and intersection
 
 
-def _monomial_minimalize(module: FreeModule, terms: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Minimal elements of a set of (pos, key) monomial generators."""
-    codec = module.ring.codec
-    terms = sorted(set(terms), key=lambda pk: (pk[0], pk[1]))
-    out: list[tuple[int, int]] = []
-    for pos, K in terms:
-        if not any(p == pos and codec.divides(L, K) for p, L in out):
-            out = [(p, L) for p, L in out if not (p == pos and codec.divides(K, L))]
-            out.append((pos, K))
-    return out
+def _colon(F: FreeModule, blocks: Sequence[tuple[Polynomial, Submodule]]) -> list[ModuleElement]:
+    """Generators, not minimal, of the g in F with g*f_i in A_i for every
+    block (f_i, A_i).
 
-
-def _monomial_gens(A: Submodule) -> list[tuple[int, int]]:
-    out = []
-    for g in A.gens:
-        ((t, _),) = g.terms.items()
-        out.append((term_pos(t), term_mono(t)))
-    return out
-
-
-def _from_monomials(module: FreeModule, terms: list[tuple[int, int]]) -> Submodule:
+    g qualifies exactly when (g*f_1, ..., g*f_s) lies in A_1 (+) ... (+) A_s.
+    So these are the first block of the syzygies, in F^s with block i's
+    generator degrees shifted by -deg f_i, of the columns e_j*(f_1, ..., f_s)
+    followed by the blocks a*e_i for a in A_i.
+    """
+    if any(A.is_zero() for _, A in blocks):
+        return []
+    r = F.rank
+    forms = [f for f, _ in blocks]
+    Fs = FreeModule(F.ring, [vsub(a, f.multidegree()) for f in forms for a in F.gen_degrees])
     gens = [
-        ModuleElement(module, {term_key(K, pos): 1})
-        for pos, K in _monomial_minimalize(module, terms)
+        ModuleElement(
+            Fs,
+            {term_key(K, i * r + j): c for i, f in enumerate(forms) for K, c in f.terms.items()},
+        )
+        for j in range(r)
     ]
-    return Submodule(module, gens)
-
-
-# ---------------------------------------------------------------------------
-# intersect via the homogenised elimination trick
-
-
-def _lift_to_elim(
-    src: FreeModule, dst: FreeModule, elt: ModuleElement, ext: RingSpec
-) -> ModuleElement:
-    terms = {}
-    for t, c in elt.terms.items():
-        exps = src.ring.codec.decode(term_mono(t)) + (0,)
-        terms[term_key(ext.codec.encode(exps), term_pos(t))] = c
-    return ModuleElement(dst, terms)
-
-
-def _drop_elim(dst: FreeModule, elt: ModuleElement, ext: RingSpec) -> ModuleElement:
-    terms = {}
-    ring = dst.ring
-    for t, c in elt.terms.items():
-        exps = ext.codec.decode(term_mono(t))
-        if exps[-1] != 0:
-            raise ValueError("element still involves the elimination variable")
-        terms[term_key(ring.codec.encode(exps[:-1]), term_pos(t))] = c
-    return ModuleElement(dst, terms)
+    # a term key's position field is complemented: key - n moves it n places on
+    for i, (_, A) in enumerate(blocks):
+        gens += [ModuleElement(Fs, {t - i * r: c for t, c in a.terms.items()}) for a in A.gens]
+    out = []
+    for s in syzygy_module(gens, minimalize=False):
+        terms = {t: c for t, c in s.terms.items() if term_pos(t) < r}
+        if terms:
+            out.append(ModuleElement(F, terms))
+    return out
 
 
 def intersect(A: Submodule, B: Submodule) -> Submodule:
-    """A ∩ B via a degree-zero homogenising variable and elimination order."""
+    """A ∩ B, the g with g*1 in A and g*1 in B: one colon computation in F^2.
+
+    The generators are taken from the reduced basis of the result, which the
+    result keeps; the syzygy block spans the same module but is denser, and
+    that density slows every later resolution of it.  The basis is built
+    from a minimal subset of the block: Buchberger on the whole block, most
+    of which is redundant, costs several times more.
+    """
     if A.module != B.module:
         raise ValueError("intersection requires a common ambient module")
-    if A.is_zero() or B.is_zero():
-        return Submodule(A.module, [])
-    if A.is_monomial() and B.is_monomial():
-        codec = A.ring.codec
-        terms = []
-        for pa, Ka in _monomial_gens(A):
-            for pb, Kb in _monomial_gens(B):
-                if pa == pb:
-                    terms.append((pa, codec.lcm(Ka, Kb)))
-        return _from_monomials(A.module, terms)
-    ring = A.ring
-    ext = ring.with_elim_variable()
-    extmod = FreeModule(ext, A.module.gen_degrees)
-    t_poly = ext.variable(ext.nvars - 1)
-    one_minus_t = ext.one() - t_poly
-    gens = []
-    for a in A.gens:
-        gens.append(_lift_to_elim(A.module, extmod, a, ext).poly_mul(t_poly))
-    for b in B.gens:
-        gens.append(_lift_to_elim(A.module, extmod, b, ext).poly_mul(one_minus_t))
-    gb = groebner_basis(gens, module=extmod)
-    elim_shift = ext.codec.elim_shift + POS_BITS
-    kept = []
-    for e in gb:
-        T, _ = e.lead_term()
-        if T >> elim_shift:
-            continue  # lead involves t, hence (elimination order) so does e
-        kept.append(_drop_elim(A.module, e, ext))
-    return Submodule(A.module, minimal_generators(kept, module=A.module))
-
-
-# ---------------------------------------------------------------------------
-# colon and saturation
+    F = A.module
+    one = A.ring.one()
+    gb = groebner_basis(minimal_generators(_colon(F, [(one, A), (one, B)]), module=F), module=F)
+    C = Submodule(F, minimal_generators(gb.elements, module=F))
+    C._gb = gb
+    return C
 
 
 def _colon_forms(
@@ -277,37 +240,15 @@ def _colon_forms(
 
 
 def quotient(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> Submodule:
-    """The colon module (A : J) for J a form, a list of forms or an ideal.
-
-    g lies in (A : (f_1, ..., f_s)) exactly when (g*f_1, ..., g*f_s) lies in
-    A^s.  So (A : J) is the first block of the syzygies, in F^s with block
-    i's generator degrees shifted by -deg f_i, of the columns
-    e_j*(f_1, ..., f_s) followed by the blocks a*e_i for a in A.
-    """
+    """The colon module (A : J) for J a form, a list of forms or an ideal:
+    the g with g*f in A for every generator f of J."""
     forms = _colon_forms(A.ring, J)
-    if A.is_zero():
-        return A
     F = A.module
-    r = F.rank
-    Fs = FreeModule(
-        A.ring, [vsub(a, f.multidegree()) for f in forms for a in F.gen_degrees]
-    )
-    gens = [
-        ModuleElement(
-            Fs,
-            {term_key(K, i * r + j): c for i, f in enumerate(forms) for K, c in f.terms.items()},
-        )
-        for j in range(r)
-    ]
-    # a term key's position field is complemented: key - n moves it n places on
-    for i in range(len(forms)):
-        gens += [ModuleElement(Fs, {t - i * r: c for t, c in a.terms.items()}) for a in A.gens]
-    out = []
-    for s in syzygy_module(gens, minimalize=False):
-        terms = {t: c for t, c in s.terms.items() if term_pos(t) < r}
-        if terms:
-            out.append(ModuleElement(F, terms))
-    return Submodule(F, minimal_generators(out, module=F))
+    return Submodule(F, minimal_generators(_colon(F, [(f, A) for f in forms]), module=F))
+
+
+# ---------------------------------------------------------------------------
+# saturation and powers of B
 
 
 def saturate(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> Submodule:
@@ -328,8 +269,26 @@ def b_saturate(A: Submodule) -> Submodule:
     return A
 
 
+def _monomial_minimalize(codec: MonomialCodec, keys: Iterable[int]) -> list[int]:
+    """The minimal monomial keys under divisibility, in increasing order."""
+    out: list[int] = []
+    # a proper divisor has a smaller weighted degree, hence a smaller key, so
+    # in sorted order each key meets its divisors before itself
+    for K in sorted(set(keys)):
+        if not any(codec.divides(L, K) for L in out):
+            out.append(K)
+    return out
+
+
 def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
-    """The ideal B^[a] = ∩_i P_i^{a_i} (monomial, minimally generated)."""
+    """The product B^[a] = prod_i P_i^{a_i} of powers of the irrelevant
+    primes (monomial, minimally generated).
+
+    It equals the intersection of the P_i^{a_i} when the primes are pairwise
+    disjoint, as on products of projective spaces and on F_3, but not when
+    they share variables: on the del Pezzo ring, <y0,y2> <y0,y3> is
+    <y0^2, y0 y2, y0 y3, y2 y3>, while <y0,y2> ∩ <y0,y3> is <y0, y2 y3>.
+    """
     a = tuple(a)
     if len(a) != len(ring.irrelevant_primes):
         raise ValueError("exponent vector length must match the number of irrelevant primes")
@@ -353,7 +312,9 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     prod = blocks[0]
     for blk in blocks[1:]:
         prod = [codec.mul(k1, k2) for k1 in prod for k2 in blk]
-    return _from_monomials(amb, [(0, k) for k in prod])
+    return Submodule(
+        amb, [ModuleElement(amb, {term_key(K, 0): 1}) for K in _monomial_minimalize(codec, prod)]
+    )
 
 
 # ---------------------------------------------------------------------------

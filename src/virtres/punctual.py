@@ -283,7 +283,11 @@ def _generic_hilbert_gate(I: Submodule, m: int) -> bool:
 
 
 def intersect_with_irrelevant_power(I: Submodule, a: Sequence[int]) -> Submodule:
-    """I intersected with B^a = prod_i P_i^{a_i}."""
+    """I intersected with the product B^a = prod_i P_i^{a_i}.
+
+    The product equals the intersection of the P_i^{a_i} when the primes are
+    pairwise disjoint, as on products of projective spaces and on F_3.
+    """
     a = tuple(int(c) for c in a)
     if any(c < 0 for c in a):
         raise ValueError("exponent vector must be nonnegative")

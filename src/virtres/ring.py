@@ -13,7 +13,7 @@ Monomials are packed into single Python ints so that integer comparison of
 packed keys realises a weighted-grevlex term order, divisibility is one
 masked subtraction and multiplication is one addition.  Layout, low to high:
 
-    [comp_0 | comp_1 | ... | comp_{n-1} | wdeg (| elim exponent)]
+    [comp_0 | comp_1 | ... | comp_{n-1} | wdeg]
 
 where ``comp_j = EXP_MAX - e_j`` occupies 16 bits (complement form makes
 "smaller exponent on the last variable wins ties" come out of plain int
@@ -31,7 +31,6 @@ Multidegree = tuple[int, ...]
 
 FIELD_BITS = 16
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1  # 32767; exponents must stay below this
-WDEG_BITS = 24  # elimination layout reserves this many bits for wdeg
 INT64_MAX = (1 << 63) - 1
 # a packed key holds 16 bits per variable, so building a ring (one key per
 # variable) grows quadratically in the variable count; the bundled rings
@@ -71,25 +70,15 @@ def vscale(c: int, a: Multidegree) -> Multidegree:
 class MonomialCodec:
     """Packs exponent vectors into order-respecting integer keys."""
 
-    __slots__ = (
-        "nvars", "weights", "comp_bits", "wshift", "elim_index",
-        "elim_shift", "wmask", "C0", "GUARD", "CMASK", "one",
-    )
+    __slots__ = ("nvars", "weights", "comp_bits", "wshift", "C0", "GUARD", "CMASK", "one")
 
-    def __init__(self, weights: Sequence[int], elim_index: int | None = None):
+    def __init__(self, weights: Sequence[int]):
         self.nvars = len(weights)
         self.weights = tuple(weights)
         if any(w <= 0 for w in self.weights):
             raise ValueError("order weights must be strictly positive")
         self.comp_bits = FIELD_BITS * self.nvars
         self.wshift = self.comp_bits
-        self.elim_index = elim_index
-        if elim_index is not None:
-            self.elim_shift = self.wshift + WDEG_BITS
-            self.wmask = (1 << WDEG_BITS) - 1
-        else:
-            self.elim_shift = 0
-            self.wmask = -1
         c0 = 0
         guard = 0
         for j in range(self.nvars):
@@ -110,14 +99,7 @@ class MonomialCodec:
                 raise ValueError(f"exponent {e} out of range")
             comp |= (EXP_MAX - e) << (FIELD_BITS * j)
             wdeg += w * e
-        key = (wdeg << self.wshift) | comp
-        if self.elim_index is not None:
-            if wdeg >= (1 << WDEG_BITS):
-                raise ValueError("weighted degree too large for elimination layout")
-            key |= exps[self.elim_index] << self.elim_shift
-            # the elimination variable's field also lives in comp so that
-            # divisibility and quotients need no special casing
-        return key
+        return (wdeg << self.wshift) | comp
 
     def decode(self, key: int) -> tuple[int, ...]:
         comp = key & self.CMASK
@@ -127,7 +109,7 @@ class MonomialCodec:
         )
 
     def wdeg(self, key: int) -> int:
-        return (key >> self.wshift) & self.wmask
+        return key >> self.wshift
 
     def mul(self, k1: int, k2: int) -> int:
         """Product of two monomial keys (caller guards against overflow)."""
@@ -256,7 +238,6 @@ class RingSpec:
         char: int,
         var_names: Sequence[str] | None = None,
         dimension_vector: Multidegree | None = None,
-        elim_index: int | None = None,
     ):
         check_char(char)
         self.char = char
@@ -276,7 +257,7 @@ class RingSpec:
         per_var = tuple(
             sum(w * c for w, c in zip(self.weights, d)) for d in self.var_degrees
         )
-        self.codec = MonomialCodec(per_var, elim_index=elim_index)
+        self.codec = MonomialCodec(per_var)
         self._inv_cache: dict[int, int] = {}
 
     # -- constructors ------------------------------------------------------
@@ -427,27 +408,6 @@ class RingSpec:
 
     def var_index(self, name: str) -> int:
         return self.var_names.index(name)
-
-    # -- ring extension for elimination --------------------------------------
-
-    def with_elim_variable(self) -> "RingSpec":
-        """Extend by one degree-zero variable t, ordered to eliminate it."""
-        degrees = self.var_degrees + ((0,) * self.rank_grading,)
-        names = self.var_names + ("t~",)
-        ext = RingSpec.__new__(RingSpec)
-        ext.char = self.char
-        ext.var_degrees = degrees
-        ext.nvars = self.nvars + 1
-        ext.rank_grading = self.rank_grading
-        ext.irrelevant_primes = self.irrelevant_primes
-        ext.dimension_vector = None
-        ext.var_names = names
-        # weight 1 on t keeps the order weights positive even though deg t = 0
-        ext.weights = self.weights
-        per_var = self.codec.weights + (1,)
-        ext.codec = MonomialCodec(per_var, elim_index=self.nvars)
-        ext._inv_cache = {}
-        return ext
 
     def __repr__(self) -> str:
         if self.is_product:

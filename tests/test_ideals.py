@@ -28,6 +28,7 @@ from virtres import (
 from virtres.fixtures import (
     curve_ideal,
     curve_ring,
+    del_pezzo_ring,
     hirzebruch_ideal,
     two_planes_ideal,
 )
@@ -157,9 +158,13 @@ small_degrees = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda d:
 
 
 @st.composite
-def submodules(draw):
-    """A homogeneous ideal of P^1 x P^1, or a submodule of S + S(-1,0)."""
-    rank = draw(st.integers(1, 2))
+def submodules(draw, rank=None):
+    """A homogeneous ideal of P^1 x P^1, or a submodule of S + S(-1,0).
+
+    ``rank`` (1 or 2) picks the ambient module; by default it is drawn too.
+    """
+    if rank is None:
+        rank = draw(st.integers(1, 2))
     F = FreeModule(R11, [(0, 0), (1, 0)][:rank])
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -188,6 +193,26 @@ def test_colon_by_two_forms_is_intersection_of_colons(data):
     # every generator g' of (A : J) has g' * J inside A
     for q in Q.gens:
         assert A.contains(q.poly_mul(f)) and A.contains(q.poly_mul(g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_intersect_against_hilbert_functions(data):
+    # an oracle that shares no code with the colon: C = A ∩ B lies in both,
+    # and dim C_d = dim A_d + dim B_d - dim (A + B)_d in every degree d
+    rank = data.draw(st.integers(1, 2))
+    A = data.draw(submodules(rank))
+    B = data.draw(submodules(rank))
+    C = intersect(A, B)
+    assert A.contains_submodule(C) and B.contains_submodule(C)
+    A_plus_B = Submodule(A.module, A.gens + B.gens)
+    for d in itertools.product(range(6), repeat=2):
+        assert hilbert_function(C, d) == (
+            hilbert_function(A, d) + hilbert_function(B, d) - hilbert_function(A_plus_B, d)
+        )
+    # the generators come from the reduced basis, not from the denser syzygy block
+    basis = [e.terms for e in C.gb().elements]
+    assert all(g.terms in basis for g in C.gens)
 
 
 def b_saturate_by_variables(A):
@@ -239,6 +264,19 @@ def test_irrelevant_power_is_intersection_of_prime_powers():
     P1sq = ideal(R, [g1.coordinate(0) * g2.coordinate(0) for g1 in P1.gens for g2 in P1.gens])
     P2 = ideal(R, [R.x(2, j) for j in range(3)])
     assert same_ideal(B, intersect(P1sq, P2))
+
+
+def test_irrelevant_power_is_a_product_of_prime_powers():
+    # the del Pezzo primes <y0,y2> and <y0,y3> share y0, so their product
+    # is not their intersection <y0, y2*y3>
+    R = del_pezzo_ring()
+    y0, y1, y2, y3, y4 = R.variables()
+    B = irrelevant_power(R, (1, 1, 0, 0, 0))
+    assert len(B.gens) == 4
+    assert same_ideal(B, ideal(R, [y0**2, y0 * y2, y0 * y3, y2 * y3]))
+    meet = intersect(ideal(R, [y0, y2]), ideal(R, [y0, y3]))
+    assert same_ideal(meet, ideal(R, [y0, y2 * y3]))
+    assert not same_ideal(B, meet)
 
 
 # -- truncation and Hilbert functions ----------------------------------------

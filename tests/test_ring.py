@@ -135,17 +135,6 @@ def test_variable_addressing():
         R12.var_index("nope")
 
 
-def test_elim_extension():
-    ext = R11.with_elim_variable()
-    assert ext.nvars == R11.nvars + 1
-    t = ext.variable(ext.nvars - 1)
-    assert ext.mono_degree(next(iter(t.terms))) == (0, 0)
-    # the eliminated variable dominates the term order
-    x = ext.variable(0)
-    f = t + x ** 3
-    assert max(f.terms) == next(iter(t.terms))
-
-
 def test_vector_helpers():
     assert vadd((1, 2), (3, -1)) == (4, 1)
     assert vsub((1, 2), (3, -1)) == (-2, 3)
