@@ -13,7 +13,8 @@ from typing import Sequence
 from .groebner import (
     FreeModule,
     ModuleElement,
-    minimal_generators,
+    _minimal_generators,
+    _syzygy_module,
     syzygy_module,
     term_key,
     term_mono,
@@ -179,13 +180,13 @@ def _iterated_syzygies(
     ring = terms[0].ring
     maps: list[list[ModuleElement]] = []
     while cols and len(maps) < cap:
-        G = FreeModule(ring, [c.multidegree() for c in cols])
+        G = FreeModule(ring, [c._degree() for c in cols])
         maps.append(cols)
         terms.append(G)
         cols = [
             ModuleElement(G, s.terms)
-            for s in syzygy_module(cols)
-            if bound is None or vleq(s.multidegree(), bound)
+            for s in _syzygy_module(cols)
+            if bound is None or vleq(s._degree(), bound)
         ]
     return None if cols else maps
 
@@ -198,19 +199,19 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     generators).
     """
     if isinstance(M, Submodule):
-        gens = minimal_generators(M.gens, module=M.module)
+        gens = _minimal_generators(M.gens, module=M.module)
         if not gens:
             amb = FreeModule(M.ring, [])
             return FreeComplex([amb], [])
-        F0 = FreeModule(M.ring, [g.multidegree() for g in gens])
+        F0 = FreeModule(M.ring, [g._degree() for g in gens])
         terms = [F0]
-        cols = syzygy_module(gens)
+        cols = _syzygy_module(gens)
         cols = [ModuleElement(F0, s.terms) for s in cols]
     else:
         if M._resolution is not None:
             return M._resolution
         terms = [M.free]
-        cols = minimal_generators(M.relations.gens, module=M.free)
+        cols = _minimal_generators(M.relations.gens, module=M.free)
     ring = terms[0].ring
     maps = _iterated_syzygies(terms, cols, ring.nvars + 1)
     if maps is None:
@@ -218,13 +219,10 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     out = FreeComplex(terms, maps)
     # iterated syzygies of minimal generators are minimal except when the
     # presentation itself has unit entries (e.g. a relation hitting a free
-    # generator); trim those
-    zero_deg = (0,) * ring.rank_grading
-    if maps and any(
-        ring.mono_degree(term_mono(t)) == zero_deg
-        for col in maps[0]
-        for t in col.terms
-    ):
+    # generator); trim those.  The grading is positive, so a unit entry is a
+    # term on the constant monomial.
+    one = ring.codec.one
+    if maps and any(term_mono(t) == one for col in maps[0] for t in col.terms):
         out = minimalize(out)
     if isinstance(M, QuotientModule):
         M._resolution = out
@@ -399,8 +397,8 @@ def virtual_of_pair(
     d = tuple(d)
     bound = vadd(d, ring.dimension_vector)
     terms = [M.free]
-    rel = minimal_generators(M.relations.gens, module=M.free)
-    cols = [g for g in rel if vleq(g.multidegree(), bound)]
+    rel = _minimal_generators(M.relations.gens, module=M.free)
+    cols = [g for g in rel if vleq(g._degree(), bound)]
     maps = _iterated_syzygies(terms, cols, ring.nvars + 2, bound)
     if maps is None:
         raise RuntimeError(

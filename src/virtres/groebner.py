@@ -209,6 +209,11 @@ class ModuleElement:
             raise ValueError(f"inhomogeneous element: degrees {w[0]} and {w[1]} both occur")
         return next(iter(degs))
 
+    def _degree(self) -> Multidegree:
+        """The degree of one term: the multidegree of a nonzero element known
+        to be homogeneous, because the engine built it or a check passed it."""
+        return self.term_degree(next(iter(self.terms)))
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -342,7 +347,7 @@ class GroebnerEngine:
         if track:
             # zero generators still occupy a tag slot; give them degree 0
             degs = [
-                g.multidegree() if g.terms else (0,) * module.ring.rank_grading
+                g._degree() if g.terms else (0,) * module.ring.rank_grading
                 for g in gens
             ]
             self.tag_module = FreeModule(module.ring, degs)
@@ -550,10 +555,44 @@ def _interreduce(engine: GroebnerEngine) -> list[ModuleElement]:
     return out
 
 
+def _check_homogeneous(elements: Iterable[ModuleElement]) -> None:
+    """Raise, naming two degrees, unless every element is homogeneous."""
+    for e in elements:
+        if e.terms:
+            e.multidegree()
+
+
+def _add_by_degree(engine: GroebnerEngine, elems: Sequence[ModuleElement]) -> list[ModuleElement]:
+    """Feed nonzero homogeneous ``elems`` into ``engine`` in degree order.
+
+    Before each element the engine completes the S-pairs up to its degree;
+    the element is then top-reduced and added only when something is left.
+    Returns the elements added: a minimal generating subset of ``elems``.
+    """
+    degs = [e._degree() for e in elems]
+    wdegs = [element_wdeg(engine.module, d) for d in degs]
+    order = sorted(range(len(elems)), key=lambda i: (wdegs[i], degs[i], i))
+    kept: list[ModuleElement] = []
+    for i in order:
+        engine.process(wdegs[i])
+        f = engine.index.reduce(dict(elems[i].terms))
+        if f:
+            kept.append(elems[i])
+            engine._append(f, None)
+    return kept
+
+
 def groebner_basis(
     gens: Sequence[ModuleElement], module: FreeModule | None = None
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by ``gens``."""
+    """Reduced Groebner basis of the submodule generated by homogeneous ``gens``."""
+    _check_homogeneous(gens)
+    return _groebner_basis(gens, module)
+
+
+def _groebner_basis(
+    gens: Sequence[ModuleElement], module: FreeModule | None = None
+) -> GroebnerBasis:
     gens = [g for g in gens if g.terms]
     if not gens:
         if module is None:
@@ -563,7 +602,10 @@ def groebner_basis(
     for g in gens:
         if g.module != module:
             raise ValueError("generators live in different modules")
-    engine = GroebnerEngine(module, gens, track=False)
+    # inputs that reduce to zero by degree order never enter the basis, so
+    # they spawn no S-pairs
+    engine = GroebnerEngine(module)
+    _add_by_degree(engine, gens)
     engine.process()
     return GroebnerBasis(module, _interreduce(engine))
 
@@ -575,11 +617,16 @@ def normal_form(elt: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
 def syzygy_module(
     gens: Sequence[ModuleElement], minimalize: bool = True
 ) -> list[ModuleElement]:
-    """Generators of the syzygy module of ``gens``.
+    """Generators of the syzygy module of homogeneous ``gens``.
 
     The result lives in the tag module (+) S(-deg g_i); with ``minimalize``
     it is a minimal generating set.
     """
+    _check_homogeneous(gens)
+    return _syzygy_module(gens, minimalize)
+
+
+def _syzygy_module(gens: Sequence[ModuleElement], minimalize: bool = True) -> list[ModuleElement]:
     if not gens:
         return []
     module = gens[0].module
@@ -588,29 +635,24 @@ def syzygy_module(
     tag = engine.tag_module
     syz = [ModuleElement(tag, s) for s in engine.syzygies]
     if minimalize:
-        syz = minimal_generators(syz, module=tag)
+        syz = _minimal_generators(syz, module=tag)
     return syz
 
 
 def minimal_generators(
     elements: Sequence[ModuleElement], module: FreeModule | None = None
 ) -> list[ModuleElement]:
-    """A subset of ``elements`` that minimally generates the same submodule."""
+    """A subset of homogeneous ``elements`` that minimally generates the same submodule."""
+    _check_homogeneous(elements)
+    return _minimal_generators(elements, module)
+
+
+def _minimal_generators(
+    elements: Sequence[ModuleElement], module: FreeModule | None = None
+) -> list[ModuleElement]:
     elems = [e for e in elements if e.terms]
     if not elems:
         return []
     if module is None:
         module = elems[0].module
-    # multidegree() checks homogeneity, so it raises on a mixed element
-    degs = [e.multidegree() for e in elems]
-    wdegs = [element_wdeg(module, d) for d in degs]
-    order = sorted(range(len(elems)), key=lambda i: (wdegs[i], degs[i], i))
-    engine = GroebnerEngine(module, [], track=False)
-    kept: list[ModuleElement] = []
-    for i in order:
-        engine.process(wdegs[i])
-        f = engine.index.reduce(dict(elems[i].terms))
-        if f:
-            kept.append(elems[i])
-            engine._append(f, None)
-    return kept
+    return _add_by_degree(GroebnerEngine(module), elems)

@@ -18,9 +18,9 @@ from .groebner import (
     FreeModule,
     GroebnerBasis,
     ModuleElement,
-    groebner_basis,
-    minimal_generators,
-    syzygy_module,
+    _groebner_basis,
+    _minimal_generators,
+    _syzygy_module,
     term_key,
     term_pos,
 )
@@ -59,7 +59,7 @@ class Submodule:
 
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = groebner_basis(self.gens, module=self.module)
+            self._gb = _groebner_basis(self.gens, module=self.module)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -87,8 +87,7 @@ class Submodule:
         return id(self)
 
     def minimalized(self) -> "Submodule":
-        out = Submodule(self.module, minimal_generators(self.gens, module=self.module))
-        return out
+        return Submodule(self.module, _minimal_generators(self.gens, module=self.module))
 
     def gen_degrees(self) -> list[Multidegree]:
         return [g.multidegree() for g in self.gens]
@@ -193,7 +192,7 @@ def _colon(F: FreeModule, blocks: Sequence[tuple[Polynomial, Submodule]]) -> lis
     for i, (_, A) in enumerate(blocks):
         gens += [ModuleElement(Fs, {t - i * r: c for t, c in a.terms.items()}) for a in A.gens]
     out = []
-    for s in syzygy_module(gens, minimalize=False):
+    for s in _syzygy_module(gens, minimalize=False):
         terms = {t: c for t, c in s.terms.items() if term_pos(t) < r}
         if terms:
             out.append(ModuleElement(F, terms))
@@ -205,16 +204,14 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
 
     The generators are taken from the reduced basis of the result, which the
     result keeps; the syzygy block spans the same module but is denser, and
-    that density slows every later resolution of it.  The basis is built
-    from a minimal subset of the block: Buchberger on the whole block, most
-    of which is redundant, costs several times more.
+    that density slows every later resolution of it.
     """
     if A.module != B.module:
         raise ValueError("intersection requires a common ambient module")
     F = A.module
     one = A.ring.one()
-    gb = groebner_basis(minimal_generators(_colon(F, [(one, A), (one, B)]), module=F), module=F)
-    C = Submodule(F, minimal_generators(gb.elements, module=F))
+    gb = _groebner_basis(_colon(F, [(one, A), (one, B)]), module=F)
+    C = Submodule(F, _minimal_generators(gb.elements, module=F))
     C._gb = gb
     return C
 
@@ -244,7 +241,7 @@ def quotient(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> 
     the g with g*f in A for every generator f of J."""
     forms = _colon_forms(A.ring, J)
     F = A.module
-    return Submodule(F, minimal_generators(_colon(F, [(f, A) for f in forms]), module=F))
+    return Submodule(F, _minimal_generators(_colon(F, [(f, A) for f in forms]), module=F))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +330,7 @@ def truncate(A: Submodule, a: Sequence[int]) -> Submodule:
         need = vmax(vsub(a, g.multidegree()), zero)
         for key in ring.monomials_of_degree(need):
             out.append(g.mono_mul(key))
-    return Submodule(A.module, minimal_generators(out, module=A.module))
+    return Submodule(A.module, _minimal_generators(out, module=A.module))
 
 
 def hilbert_function(M: QuotientModule | Submodule, degree: Sequence[int]) -> int:

@@ -18,19 +18,33 @@ masked subtraction and multiplication is one addition.  Layout, low to high:
 where ``comp_j = EXP_MAX - e_j`` occupies 16 bits (complement form makes
 "smaller exponent on the last variable wins ties" come out of plain int
 comparison, i.e. grevlex) and ``wdeg`` is the weighted total degree.
+
+The top bit of every field is a guard bit that a stored field never sets.
+Subtracting one complement word from another with the guards set leaves a
+guard standing exactly in the fields where the first is at least the
+second, so divisibility, lcm (the field-wise min of the complements) and
+coprimality (their field-wise max is ``C0``) are masked word operations
+with no per-variable loop.  ``C0 - comp`` holds e_j in field j with no
+borrow between fields, so decoding reads those fields as little-endian
+16-bit words.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Multidegree = tuple[int, ...]
 
 FIELD_BITS = 16
 EXP_MAX = (1 << (FIELD_BITS - 1)) - 1  # 32767; exponents must stay below this
+# the struct code that reads one field as an unsigned word; a FIELD_BITS
+# that is not a whole word size has none and fails here
+_FIELD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}[FIELD_BITS]
 INT64_MAX = (1 << 63) - 1
 # a packed key holds 16 bits per variable, so building a ring (one key per
 # variable) grows quadratically in the variable count; the bundled rings
@@ -70,7 +84,10 @@ def vscale(c: int, a: Multidegree) -> Multidegree:
 class MonomialCodec:
     """Packs exponent vectors into order-respecting integer keys."""
 
-    __slots__ = ("nvars", "weights", "comp_bits", "wshift", "C0", "GUARD", "CMASK", "one")
+    __slots__ = (
+        "nvars", "weights", "comp_bits", "wshift", "C0", "GUARD", "CMASK", "one",
+        "_nbytes", "_fields",
+    )
 
     def __init__(self, weights: Sequence[int]):
         self.nvars = len(weights)
@@ -87,6 +104,9 @@ class MonomialCodec:
         self.C0 = c0
         self.GUARD = guard
         self.CMASK = (1 << self.comp_bits) - 1
+        self._nbytes = self.comp_bits // 8
+        # unpacks the little-endian bytes of C0 - comp into (e_0, ..., e_{n-1})
+        self._fields = struct.Struct(f"<{self.nvars}{_FIELD_CODE}").unpack
         self.one = self.encode((0,) * self.nvars)
 
     def encode(self, exps: Sequence[int]) -> int:
@@ -102,11 +122,7 @@ class MonomialCodec:
         return (wdeg << self.wshift) | comp
 
     def decode(self, key: int) -> tuple[int, ...]:
-        comp = key & self.CMASK
-        return tuple(
-            EXP_MAX - ((comp >> (FIELD_BITS * j)) & ((1 << FIELD_BITS) - 1))
-            for j in range(self.nvars)
-        )
+        return self._fields((self.C0 - (key & self.CMASK)).to_bytes(self._nbytes, "little"))
 
     def wdeg(self, key: int) -> int:
         return key >> self.wshift
@@ -127,15 +143,25 @@ class MonomialCodec:
         comp = (km & self.CMASK) + (self.C0 - (kd & self.CMASK))
         return (head << self.comp_bits) | comp
 
+    def _ge_mask(self, c1: int, c2: int) -> int:
+        """All ones in the stored bits of each field where c1 >= c2."""
+        ge = ((c1 | self.GUARD) - c2) & self.GUARD
+        return ge - (ge >> (FIELD_BITS - 1))
+
     def lcm(self, k1: int, k2: int) -> int:
-        e1 = self.decode(k1)
-        e2 = self.decode(k2)
-        return self.encode(tuple(max(a, b) for a, b in zip(e1, e2)))
+        c1 = k1 & self.CMASK
+        c2 = k2 & self.CMASK
+        m = self._ge_mask(c1, c2)
+        comp = (c2 & m) | (c1 & ~m)  # field-wise min: the larger exponent
+        exps = self._fields((self.C0 - comp).to_bytes(self._nbytes, "little"))
+        return (sum(map(mul, self.weights, exps)) << self.wshift) | comp
 
     def gcd_is_one(self, k1: int, k2: int) -> bool:
-        e1 = self.decode(k1)
-        e2 = self.decode(k2)
-        return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+        c1 = k1 & self.CMASK
+        c2 = k2 & self.CMASK
+        m = self._ge_mask(c1, c2)
+        # field-wise max: EXP_MAX, i.e. exponent 0, in every field
+        return (c1 & m) | (c2 & ~m) == self.C0
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +254,7 @@ class RingSpec:
     __slots__ = (
         "char", "var_degrees", "var_names", "irrelevant_primes",
         "dimension_vector", "rank_grading", "nvars", "weights", "codec",
-        "_inv_cache",
+        "_inv_cache", "_degree_columns",
     )
 
     def __init__(
@@ -259,6 +285,8 @@ class RingSpec:
         )
         self.codec = MonomialCodec(per_var)
         self._inv_cache: dict[int, int] = {}
+        # column k holds the k-th grading entry of every variable
+        self._degree_columns = tuple(zip(*self.var_degrees))
 
     # -- constructors ------------------------------------------------------
 
@@ -315,12 +343,7 @@ class RingSpec:
 
     def mono_degree(self, key: int) -> Multidegree:
         exps = self.codec.decode(key)
-        deg = [0] * self.rank_grading
-        for e, d in zip(exps, self.var_degrees):
-            if e:
-                for k in range(self.rank_grading):
-                    deg[k] += e * d[k]
-        return tuple(deg)
+        return tuple([sum(map(mul, col, exps)) for col in self._degree_columns])
 
     def monomials_of_degree(self, degree: Multidegree) -> list[int]:
         """All monomial keys of the given multidegree (finite by positivity)."""

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virtres import (
+    FreeComplex,
     FreeModule,
     ModuleElement,
     Polynomial,
     RingSpec,
+    Submodule,
     groebner_basis,
+    ideal,
     minimal_generators,
+    quotient,
     syzygy_module,
 )
 from virtres.groebner import term_mono, term_pos
@@ -153,3 +157,47 @@ def test_groebner_basis_is_reduced(data):
                 if j != i and pos == term_pos(t):
                     assert not ring.codec.divides(K, term_mono(t))
     assert gb.reduces_to_zero(gens)
+
+
+# -- homogeneity refusals ------------------------------------------------------
+# Each public entry point refuses inhomogeneous input with a ValueError that
+# names two degrees occurring in it; the engine's internal calls rely on this.
+
+MIXED_DEGREES = r"degrees \(.*\) and \(.*\) both occur"
+
+
+def _mixed():
+    x, y = R11.x(1, 0), R11.x(2, 0)
+    F = FreeModule(R11, [(0, 0)])
+    return x * y + x, F
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, F: f.multidegree(),
+        lambda f, F: F.wrap(f).multidegree(),
+        lambda f, F: ideal(R11, [R11.x(1, 1), f]),
+        lambda f, F: Submodule(F, [F.wrap(f)]),
+        lambda f, F: syzygy_module([F.wrap(R11.x(1, 1)), F.wrap(f)]),
+        lambda f, F: minimal_generators([F.wrap(R11.x(1, 1)), F.wrap(f)], module=F),
+        lambda f, F: FreeComplex([F, FreeModule(R11, [(1, 1)])], [[F.wrap(f)]]),
+        lambda f, F: quotient(ideal(R11, [R11.x(1, 1)]), f),
+        lambda f, F: groebner_basis([F.wrap(R11.x(1, 1)), F.wrap(f)], module=F),
+    ],
+    ids=[
+        "Polynomial.multidegree",
+        "ModuleElement.multidegree",
+        "ideal",
+        "Submodule",
+        "syzygy_module",
+        "minimal_generators",
+        "FreeComplex",
+        "quotient",
+        "groebner_basis",
+    ],
+)
+def test_inhomogeneous_input_is_refused(call):
+    f, F = _mixed()
+    with pytest.raises(ValueError, match=MIXED_DEGREES):
+        call(f, F)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from virtres import Polynomial, RingSpec, vadd, vleq, vsub
+from virtres.fixtures import del_pezzo_ring, hirzebruch_ideal
 from virtres.punctual import _nullspace_mod_p
-from virtres.ring import MAX_VARS, echelon_mod_p
+from virtres.ring import EXP_MAX, FIELD_BITS, MAX_VARS, MonomialCodec, echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -48,6 +49,75 @@ def test_mono_degree_additivity():
     k1 = c.encode((2, 1, 0, 3, 0))
     k2 = c.encode((0, 4, 1, 0, 2))
     assert vadd(R12.mono_degree(k1), R12.mono_degree(k2)) == R12.mono_degree(c.mul(k1, k2))
+
+
+# -- packed codec against per-variable formulas -------------------------------
+# The codec answers lcm, coprimality, decode and degree with word operations on
+# the packed key.  These are the per-variable formulas they replace.
+
+CODEC_RINGS = {
+    "P1xP2": R12,
+    "P1xP1xP2": RingSpec.product([1, 1, 2]),
+    "hirzebruch": hirzebruch_ideal().ring,
+    "del-pezzo": del_pezzo_ring(),
+    "300-vars": RingSpec.custom([(1,)] * 300, [list(range(300))]),
+}
+
+
+def ref_decode(codec, key):
+    comp = key & codec.CMASK
+    return tuple(
+        EXP_MAX - ((comp >> (FIELD_BITS * j)) & ((1 << FIELD_BITS) - 1))
+        for j in range(codec.nvars)
+    )
+
+
+def ref_mono_degree(ring, key):
+    deg = [0] * ring.rank_grading
+    for e, d in zip(ref_decode(ring.codec, key), ring.var_degrees):
+        for k in range(ring.rank_grading):
+            deg[k] += e * d[k]
+    return tuple(deg)
+
+
+def exponent_vectors(nvars):
+    # small exponents meet often in lcm and gcd; 0 and EXP_MAX are the edges.
+    # Drawing a sparse support keeps 300 variables as cheap as five.
+    entry = st.one_of(st.integers(0, 3), st.sampled_from([0, EXP_MAX - 1, EXP_MAX]))
+    support = st.dictionaries(st.integers(0, nvars - 1), entry, max_size=min(nvars, 12))
+    return support.map(lambda d: [d.get(j, 0) for j in range(nvars)])
+
+
+@pytest.mark.parametrize("name", sorted(CODEC_RINGS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_codec_matches_per_variable_formulas(name, data):
+    ring = CODEC_RINGS[name]
+    codec = ring.codec
+    e1 = data.draw(exponent_vectors(ring.nvars))
+    e2 = data.draw(exponent_vectors(ring.nvars))
+    k1, k2 = codec.encode(e1), codec.encode(e2)
+    assert codec.decode(k1) == ref_decode(codec, k1) == tuple(e1)
+    assert codec.lcm(k1, k2) == codec.encode([max(a, b) for a, b in zip(e1, e2)])
+    assert codec.gcd_is_one(k1, k2) == all(a == 0 or b == 0 for a, b in zip(e1, e2))
+    assert ring.mono_degree(k1) == ref_mono_degree(ring, k1)
+
+
+def test_lcm_and_coprimality_need_no_decode(monkeypatch):
+    codec = R12.codec
+    k1 = codec.encode((2, 0, 1, 0, 3))
+    k2 = codec.encode((0, 4, 1, 0, 0))
+    k3 = codec.encode((0, 1, 0, 2, 0))
+    want = codec.encode((2, 4, 1, 0, 3))
+
+    def boom(*args):
+        raise AssertionError("decode or encode called")
+
+    monkeypatch.setattr(MonomialCodec, "decode", boom)
+    monkeypatch.setattr(MonomialCodec, "encode", boom)
+    assert codec.lcm(k1, k2) == want
+    assert not codec.gcd_is_one(k1, k2)
+    assert codec.gcd_is_one(k1, k3)
 
 
 # -- graded pieces ----------------------------------------------------------
