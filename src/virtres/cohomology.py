@@ -64,6 +64,22 @@ def _dims(n) -> tuple[int, ...]:
     return tuple(int(c) for c in n)
 
 
+def _as_quotient(M: QuotientModule | Submodule) -> QuotientModule:
+    """M as a presented quotient, an ideal I read as S/I.
+
+    Anything else is refused, a FreeComplex in particular: the closed-form
+    row q = 0 of sheaf_cohomology_exact holds only for a resolution of M,
+    so the engine resolves M itself.
+    """
+    if isinstance(M, QuotientModule):
+        return M
+    if isinstance(M, Submodule):
+        return QuotientModule.cyclic(M)
+    raise TypeError(
+        f"expected a QuotientModule or an ideal, got {type(M).__name__}"
+    )
+
+
 @dataclass
 class CohomologyProfile:
     """Cohomology dimensions h^q of a line bundle, as a map q -> dim."""
@@ -233,10 +249,7 @@ def local_cohomology_dim(
     is returned with the flag false.  t_max must be at least 1.
     """
     _check_t_max(t_max)
-    if isinstance(M, Submodule):
-        M = QuotientModule.cyclic(M) if M.module.rank == 1 else None
-        if M is None:
-            raise ValueError("expected an ideal or a presented quotient module")
+    M = _as_quotient(M)
     ring = M.ring
     if not ring.is_product:
         raise ValueError("local cohomology requires a product of projective spaces")
@@ -306,10 +319,17 @@ def _factor_exponents(ni: int, qi: int, ci: int) -> list[tuple[int, ...]]:
     return [tuple(-1 - f for f in e) for e in _weak_compositions(total, ni + 1)]
 
 
-def _hq_basis(n: tuple[int, ...], c: Multidegree) -> tuple[int, list[tuple[int, ...]]] | None:
-    """(q, basis) for the single nonzero cohomology of O(c), or None."""
+def _cech_basis(
+    n: tuple[int, ...], c: Multidegree
+) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]] | None:
+    """(q, basis, index of each basis exponent) for the single nonzero
+    cohomology H^q(O(c)) when q > 0, or None.
+
+    H^0 (c >= 0 componentwise) also gives None: sheaf_cohomology_exact counts
+    the row q = 0 in closed form and never enumerates its basis.
+    """
     pat = _pattern(n, c)
-    if pat is None:
+    if pat is None or not any(pat):
         return None
     factors = [
         _factor_exponents(ni, qi, ci) for ni, qi, ci in zip(n, pat, c)
@@ -317,45 +337,58 @@ def _hq_basis(n: tuple[int, ...], c: Multidegree) -> tuple[int, list[tuple[int, 
     if any(not f for f in factors):
         return None
     basis = [sum(combo, ()) for combo in itertools.product(*factors)]
-    return sum(pat), basis
+    return sum(pat), basis, {e: k for k, e in enumerate(basis)}
+
+
+def _strand_euler_char(F: FreeComplex, p: Multidegree) -> int:
+    """sum_j (-1)^j sum_{a in F_j} dim S_{p-a}, the Euler characteristic of
+    the degree-p strand of F: HF(M, p) when F resolves M."""
+    dim_S = F.ring.hilbert_series_free
+    return sum(
+        (-1) ** j * dim_S(vsub(p, a))
+        for j, term in enumerate(F.terms)
+        for a in term.gen_degrees
+    )
 
 
 def sheaf_cohomology_exact(
-    F: FreeComplex, p: Multidegree
+    M: QuotientModule | Submodule, p: Sequence[int]
 ) -> dict[int, int | None]:
-    """Exact dims of H^k(X, M~(p)) from a free complex sheafifying to M~.
+    """Exact dims of H^k(X, M~(p)) for a module M (an ideal I is read as S/I).
 
-    Computes the hypercohomology spectral sequence of the twisted complex
-    with explicit monomial/Laurent-monomial bases of H^q(O(c)) and the
-    induced multiplication maps, takes E_2, and reads off each diagonal
-    whose higher differentials are forced to vanish.  Undetermined diagonals
-    map to None.
+    Runs the hypercohomology spectral sequence of the twisted minimal free
+    resolution F of M (memoised on M), with E1 entries H^q(O(p - a)) for the
+    summands S(-a) of F_j; takes E_2 and reads off each diagonal whose higher
+    differentials are forced to vanish.  Undetermined diagonals map to None.
+
+    The row q = 0 is the degree-p strand of F, which is exact: E2(0,0) is
+    HF(M, p), the strand's Euler characteristic, and E2(j,0) = 0 for j >= 1.
+    Only the rows q > 0 are built, with explicit Laurent-monomial (Čech)
+    bases of H^q(O(c)) and the induced multiplication maps.  A FreeComplex
+    is refused with TypeError, since the closed form needs a resolution.
     """
-    ring = F.ring
-    n = _dims(ring)
-    char = ring.char
-    # E1 page: per (j, q), list of (summand index, basis, index map)
-    summand_data: list[list] = []  # [j][a] = (q, basis, index) or None
-    for term in F.terms:
-        row = []
-        for a in term.gen_degrees:
-            qb = _hq_basis(n, vsub(p, a))
-            if qb is None:
-                row.append(None)
-            else:
-                q, basis = qb
-                row.append((q, basis, {e: k for k, e in enumerate(basis)}))
-        summand_data.append(row)
+    M = _as_quotient(M)
+    n = _dims(M.ring)
+    p = tuple(p)
+    F = free_resolution(M)
+    char = F.ring.char
+    decode = F.ring.codec.decode
+    nterms = len(F.terms)
+    # E1 rows q > 0: [j][a] = (q, basis, index map) or None
+    summand_data = [
+        [_cech_basis(n, vsub(p, a)) for a in term.gen_degrees] for term in F.terms
+    ]
+    hf = _strand_euler_char(F, p)
+    e2: dict[tuple[int, int], int] = {(0, 0): hf} if hf else {}
     qs = sorted({d[0] for row in summand_data for d in row if d})
-    e2: dict[tuple[int, int], int] = {}
     for q in qs:
         dims = []
-        for j in range(len(F.terms)):
+        for j in range(nterms):
             dims.append(
                 sum(len(d[1]) for d in summand_data[j] if d and d[0] == q)
             )
-        ranks = [0] * (len(F.terms) + 1)
-        for j in range(1, len(F.terms)):
+        ranks = [0] * (nterms + 1)
+        for j in range(1, nterms):
             if dims[j] == 0 or dims[j - 1] == 0:
                 continue
             src = [
@@ -381,7 +414,7 @@ def sheaf_cohomology_exact(
                     ddst = summand_data[j - 1][ti]
                     if ddst is None or ddst[0] != q:
                         continue
-                    mono = ring.codec.decode(term_mono(t))
+                    mono = decode(term_mono(t))
                     _, _, dst_index = ddst
                     for bi, exps in enumerate(basis):
                         # images leaving the Cech basis region (a top-degree
@@ -395,7 +428,7 @@ def sheaf_cohomology_exact(
                         block[bi][c] = block[bi].get(c, 0) + coeff
                 rows += block
             ranks[j] = len(echelon_mod_p(rows, char))
-        for j in range(len(F.terms)):
+        for j in range(nterms):
             val = dims[j] - ranks[j] - ranks[j + 1]
             if val:
                 e2[(j, q)] = val
@@ -404,7 +437,7 @@ def sheaf_cohomology_exact(
     for k in range(0, maxq + 1):
         total = 0
         determined = True
-        for j in range(len(F.terms)):
+        for j in range(nterms):
             q = k + j
             if q > maxq:
                 break
@@ -413,7 +446,7 @@ def sheaf_cohomology_exact(
                 continue
             # higher differentials: d_r hits (j - r, q - r + 1) and is fed
             # from (j + r, q + r - 1), r >= 2
-            for r in range(2, len(F.terms) + 1):
+            for r in range(2, nterms + 1):
                 if e2.get((j + r, q + r - 1), 0):
                     determined = False
                 if j - r >= 0 and e2.get((j - r, q - r + 1), 0):
@@ -424,10 +457,9 @@ def sheaf_cohomology_exact(
 
 
 def local_cohomology_dim_fast(
-    M: QuotientModule,
-    F: FreeComplex,
+    M: QuotientModule | Submodule,
     i: int,
-    p: Multidegree,
+    p: Sequence[int],
     t_max: int = 6,
     coh: dict[int, int | None] | None = None,
 ) -> tuple[int, bool, bool]:
@@ -435,12 +467,16 @@ def local_cohomology_dim_fast(
 
     Returns (dim, exact, stabilized).  For i >= 2 the value equals
     h^{i-1}(X, M~(p)); for i = 1 and B-saturated M it equals
-    h^0(M~(p)) - HF(M, p).  Both are evaluated exactly from the
-    hypercohomology of the resolution when the relevant diagonal is
-    determined; otherwise the Ext colimit heuristic is used.
+    h^0(M~(p)) - HF(M, p), with HF(M, p) read as the Euler characteristic
+    of the degree-p strand of M's resolution.  Both are exact when
+    ``sheaf_cohomology_exact(M, p)`` (or the given ``coh``, its value)
+    determines the relevant diagonal; otherwise the Ext colimit heuristic
+    is used.  An ideal I is read as S/I; a FreeComplex is refused with
+    TypeError.
     """
+    M = _as_quotient(M)
     if coh is None:
-        coh = sheaf_cohomology_exact(F, p)
+        coh = sheaf_cohomology_exact(M, p)
     if i >= 2:
         val = coh.get(i - 1, 0)
         if val is not None:
@@ -448,7 +484,7 @@ def local_cohomology_dim_fast(
     elif i == 1:
         h0 = coh.get(0, None)
         if h0 is not None:
-            dim = h0 - M.hilbert_function(p)
+            dim = h0 - _strand_euler_char(free_resolution(M), p)
             if dim >= 0:
                 return dim, True, True
     elif i == 0:
@@ -474,13 +510,15 @@ def regularity_check(
     the shifted-region form of multigraded regularity; the strict regions
     are genuinely more demanding (for instance they probe twists below d in
     one factor), and several classical examples satisfy only the default
-    condition.  A nonzero witness refutes d for the chosen regions exactly;
-    an empty failure list means "consistent-in-window" only.  t_max, the
-    largest exponent of the Ext-colimit fallback, must be at least 1.
+    condition.  A nonzero witness that the spectral sequence determines
+    refutes d for the chosen regions exactly; one from the Ext-colimit
+    fallback rests on its stabilization heuristic, and the report does not
+    yet say which is which.  An empty failure list means
+    "consistent-in-window" only.  t_max, the largest exponent of the
+    Ext-colimit fallback, must be at least 1.
     """
     _check_t_max(t_max)
-    if isinstance(M, Submodule):
-        M = QuotientModule.cyclic(M)
+    M = _as_quotient(M)
     ring = M.ring
     if not ring.is_product:
         raise ValueError("regularity checks require a product of projective spaces")
@@ -500,7 +538,6 @@ def regularity_check(
         hi = tuple(int(c) for c in window[1])
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("empty window")
-    F = free_resolution(M)
     failures = []
     unstabilized = []
     needed: dict[Multidegree, list[int]] = {}
@@ -520,11 +557,9 @@ def regularity_check(
                 if i not in lst:
                     lst.append(i)
     for p in sorted(needed):
-        coh = sheaf_cohomology_exact(F, p)
+        coh = sheaf_cohomology_exact(M, p)
         for i in needed[p]:
-            dim, exact, stab = local_cohomology_dim_fast(
-                M, F, i, p, t_max=t_max, coh=coh
-            )
+            dim, exact, stab = local_cohomology_dim_fast(M, i, p, t_max=t_max, coh=coh)
             if not exact and not stab:
                 unstabilized.append((i, p))
             if dim:
@@ -634,10 +669,8 @@ def beilinson_shape(
     computed by additivity over a free resolution of M and the per-factor
     Koszul recursion for chi(Omega^u(t)).
     """
-    if isinstance(M, Submodule):
-        M = QuotientModule.cyclic(M)
-    ring = M.ring
-    n = _dims(ring)
+    M = _as_quotient(M)
+    n = _dims(M.ring)
     d = tuple(d)
     F = free_resolution(M)
     blocks: dict[int, dict[Multidegree, int]] = {}
@@ -663,7 +696,7 @@ def beilinson_shape(
     if verify_vanishing:
         verified = True
         for q in range(2, sum(n) + 2):
-            dim, _, _ = local_cohomology_dim_fast(M, F, q, d)
+            dim, _, _ = local_cohomology_dim_fast(M, q, d)
             if dim:
                 verified = False
                 break

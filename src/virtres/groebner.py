@@ -244,13 +244,16 @@ class LeadIndex:
     module (empty without tracking).
     """
 
-    __slots__ = ("ring", "polys", "reps", "lead_K", "lead_pos", "lead_inv", "by_pos")
+    __slots__ = (
+        "ring", "polys", "reps", "lead_K", "lead_C", "lead_pos", "lead_inv", "by_pos",
+    )
 
     def __init__(self, ring: RingSpec):
         self.ring = ring
         self.polys: list[dict[int, int]] = []
         self.reps: list[dict[int, int]] = []
         self.lead_K: list[int] = []
+        self.lead_C: list[int] = []  # complement words of the leads
         self.lead_pos: list[int] = []
         self.lead_inv: list[int] = []  # inverses of the lead coefficients
         self.by_pos: dict[int, list[int]] = {}
@@ -262,6 +265,7 @@ class LeadIndex:
         self.polys.append(f)
         self.reps.append(rep if rep is not None else {})
         self.lead_K.append(term_mono(T))
+        self.lead_C.append(term_mono(T) & self.ring.codec.CMASK)
         self.lead_pos.append(pos)
         self.lead_inv.append(self.ring.inv(f[T]))
 
@@ -405,16 +409,26 @@ class GroebnerEngine:
     # -- the main loop ---------------------------------------------------------
 
     def _chain_skip(self, i: int, j: int, L: int, pos: int) -> bool:
+        """Buchberger's chain criterion: some other lead k at ``pos`` divides
+        L = lcm(i, j), and lcm(i, k) and lcm(j, k) both differ from L.
+
+        Tested on complement words: two monomials are equal exactly when
+        their complement words are, so no weighted degree is computed.
+        """
         codec = self.codec
-        lead_K = self.index.lead_K
+        divides = codec.divides
+        lcm_comp = codec.lcm_comp
+        lead_C = self.index.lead_C
+        cL = L & codec.CMASK
+        ci = lead_C[i]
+        cj = lead_C[j]
         for k in self.index.by_pos.get(pos, ()):
             if k == i or k == j:
                 continue
-            if not codec.divides(lead_K[k], L):
+            ck = lead_C[k]
+            if not divides(ck, cL):
                 continue
-            if codec.lcm(lead_K[i], lead_K[k]) == L:
-                continue
-            if codec.lcm(lead_K[j], lead_K[k]) == L:
+            if lcm_comp(ci, ck) == cL or lcm_comp(cj, ck) == cL:
                 continue
             return True
         return False

@@ -148,11 +148,14 @@ class MonomialCodec:
         ge = ((c1 | self.GUARD) - c2) & self.GUARD
         return ge - (ge >> (FIELD_BITS - 1))
 
-    def lcm(self, k1: int, k2: int) -> int:
-        c1 = k1 & self.CMASK
-        c2 = k2 & self.CMASK
+    def lcm_comp(self, c1: int, c2: int) -> int:
+        """Complement word of the lcm of the monomials with complement words
+        c1 and c2: the field-wise min, i.e. the larger exponent."""
         m = self._ge_mask(c1, c2)
-        comp = (c2 & m) | (c1 & ~m)  # field-wise min: the larger exponent
+        return (c2 & m) | (c1 & ~m)
+
+    def lcm(self, k1: int, k2: int) -> int:
+        comp = self.lcm_comp(k1 & self.CMASK, k2 & self.CMASK)
         exps = self._fields((self.C0 - comp).to_bytes(self._nbytes, "little"))
         return (sum(map(mul, self.weights, exps)) << self.wshift) | comp
 

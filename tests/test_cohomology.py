@@ -24,6 +24,8 @@ from virtres import (
     line_bundle_cohomology,
     local_cohomology_dim,
     local_cohomology_dim_fast,
+    points_ideal,
+    random_points,
     regularity_check,
     sheaf_cohomology_exact,
     sheaf_euler_char,
@@ -33,7 +35,8 @@ from virtres import (
 from virtres import cohomology
 from virtres.cohomology import binom_poly
 from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, curve_ring, surface_ideal
-from virtres.groebner import GroebnerBasis, LeadIndex, term_key
+from virtres.groebner import GroebnerBasis, LeadIndex, term_key, term_mono, term_pos
+from virtres.ring import echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 
@@ -96,9 +99,8 @@ def test_exact_cohomology_of_free_module_matches_kunneth():
     F = free_resolution(Submodule(ideal(R, [R.one()]).module, []))
     # resolution of S itself: a single free term
     M = QuotientModule(curve_ideal().module, Submodule(curve_ideal().module, []))
-    FS = free_resolution(M)
     for a in [(2, 1), (-2, 1), (-2, -3), (0, 0), (3, -1)]:
-        got = sheaf_cohomology_exact(FS, a)
+        got = sheaf_cohomology_exact(M, a)
         prof = line_bundle_cohomology((1, 2), a)
         for q in range(4):
             assert got.get(q, 0) == prof.h(q), (a, q)
@@ -106,12 +108,12 @@ def test_exact_cohomology_of_free_module_matches_kunneth():
 
 def test_curve_cohomology_known_values():
     # genus-4 hyperelliptic curve of bidegree (2,8): O_C(1,0) is the g^1_2
-    F = free_resolution(QuotientModule.cyclic(curve_ideal()))
-    h = sheaf_cohomology_exact(F, (2, 0))
+    M = QuotientModule.cyclic(curve_ideal())
+    h = sheaf_cohomology_exact(M, (2, 0))
     assert h[0] == 3 and h[1] == 2  # 2*g^1_2: deg 4, h^0 = 3 by Riemann-Roch
-    h = sheaf_cohomology_exact(F, (3, 0))
+    h = sheaf_cohomology_exact(M, (3, 0))
     assert h[0] == 4 and h[1] == 1
-    h = sheaf_cohomology_exact(F, (2, 1))
+    h = sheaf_cohomology_exact(M, (2, 1))
     # candidate regularity degree: positive sections, no higher cohomology
     assert h[1] == 0 and h[2] == 0
     assert h[0] == hilbert_function(QuotientModule.cyclic(curve_ideal()), (2, 1))
@@ -125,11 +127,10 @@ def test_sheaf_euler_char_additivity():
 
 def test_exact_engine_agrees_with_ext_colimit_at_moderate_twists():
     M = QuotientModule.cyclic(curve_ideal())
-    F = free_resolution(M)
     for p in [(2, 1), (1, 2), (3, 0)]:
-        coh = sheaf_cohomology_exact(F, p)
+        coh = sheaf_cohomology_exact(M, p)
         for i in [1, 2]:
-            fast, exact, stab = local_cohomology_dim_fast(M, F, i, p, coh=coh)
+            fast, exact, stab = local_cohomology_dim_fast(M, i, p, coh=coh)
             slow, stab2 = local_cohomology_dim(M, i, p)
             if exact and stab2:
                 assert fast == slow, (i, p)
@@ -140,9 +141,142 @@ def test_local_cohomology_h0_is_b_torsion_dimension():
     R = R11
     B = irrelevant_power(R, (1, 1))
     M = QuotientModule.cyclic(B)
-    F = free_resolution(M)
-    coh = sheaf_cohomology_exact(F, (1, 1))
+    coh = sheaf_cohomology_exact(M, (1, 1))
     assert coh[0] == 0 and coh[1] == 0
+
+
+def _cohomology_by_strand_ranks(F, p):
+    """h^k(X, F~(p)) with every row of the E1 page, q = 0 included, built
+    from explicit bases and ranked mod p: the engine before the row q = 0
+    became a closed form, kept as the oracle for it.  Also returns E_2."""
+    ring = F.ring
+    n = tuple(ring.dimension_vector)
+    nterms = len(F.terms)
+    e1 = []  # [j][a] = (q, {basis exponents: index}) or None
+    for term in F.terms:
+        row = []
+        for a in term.gen_degrees:
+            c = tuple(pi - ai for pi, ai in zip(p, a))
+            pat = cohomology._pattern(n, c)
+            if pat is None:
+                row.append(None)
+                continue
+            factors = [
+                cohomology._factor_exponents(ni, qi, ci) for ni, qi, ci in zip(n, pat, c)
+            ]
+            basis = [sum(combo, ()) for combo in itertools.product(*factors)]
+            row.append((sum(pat), {e: k for k, e in enumerate(basis)}) if basis else None)
+        e1.append(row)
+    e2 = {}
+    for q in {d[0] for row in e1 for d in row if d}:
+        offs, dims = [], []  # per j: {summand: first column}, total dimension
+        for row in e1:
+            off, total = {}, 0
+            for ai, d in enumerate(row):
+                if d and d[0] == q:
+                    off[ai] = total
+                    total += len(d[1])
+            offs.append(off)
+            dims.append(total)
+        ranks = [0] * (nterms + 1)
+        for j in range(1, nterms):
+            rows = []
+            for ai in offs[j]:
+                basis = e1[j][ai][1]
+                block = [{} for _ in basis]
+                for t, coeff in F.maps[j - 1][ai].terms.items():
+                    ti = term_pos(t)
+                    if ti not in offs[j - 1]:
+                        continue
+                    mono = ring.codec.decode(term_mono(t))
+                    dst = e1[j - 1][ti][1]
+                    for exps, bi in basis.items():
+                        tgt = dst.get(tuple(e + m for e, m in zip(exps, mono)))
+                        if tgt is not None:
+                            col = offs[j - 1][ti] + tgt
+                            block[bi][col] = block[bi].get(col, 0) + coeff
+                rows += block
+            ranks[j] = len(echelon_mod_p(rows, ring.char))
+        for j in range(nterms):
+            if dims[j] - ranks[j] - ranks[j + 1]:
+                e2[(j, q)] = dims[j] - ranks[j] - ranks[j + 1]
+    out = {}
+    for k in range(sum(n) + 1):
+        total, determined = 0, True
+        for j in range(min(nterms, sum(n) - k + 1)):
+            q = k + j
+            if not e2.get((j, q)):
+                continue
+            for r in range(2, nterms + 1):
+                if e2.get((j + r, q + r - 1)) or (j >= r and e2.get((j - r, q - r + 1))):
+                    determined = False
+            total += e2[(j, q)]
+        out[k] = total if determined else None
+    return out, e2
+
+
+def _five_points_p1p1():
+    return QuotientModule.cyclic(points_ideal(random_points(R11, 5, 1)))
+
+
+# (module, lower corner, upper corner) of the twist boxes the oracle covers
+ORACLE_BOXES = {
+    "curve": (lambda: QuotientModule.cyclic(curve_ideal()), (-3, -4), (3, 8)),
+    "surface": (lambda: QuotientModule.cyclic(surface_ideal()), (-2, -5), (3, 3)),
+    "S/B^(1,1)": (lambda: QuotientModule.cyclic(irrelevant_power(R11, (1, 1))), (-3, -3), (3, 3)),
+    "S/B^(2,1)": (lambda: QuotientModule.cyclic(irrelevant_power(R11, (2, 1))), (-3, -3), (3, 3)),
+    "5 points": (_five_points_p1p1, (-3, -3), (4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BOXES))
+def test_closed_form_strand_row_matches_strand_ranks(name):
+    make, lo, hi = ORACLE_BOXES[name]
+    M = make()
+    F = free_resolution(M)
+    for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        want, e2 = _cohomology_by_strand_ranks(F, p)
+        # the degree-p strand of a resolution of M is exact off column 0
+        assert e2.get((0, 0), 0) == hilbert_function(M, p), p
+        assert not any(e2.get((j, 0)) for j in range(1, len(F.terms))), p
+        coh = sheaf_cohomology_exact(M, p)
+        assert coh == want, p
+        # H^1_B(M)_p = h^0 - HF(M, p) whenever h^0 is determined and the
+        # difference is a dimension
+        if coh[0] is not None and coh[0] >= hilbert_function(M, p):
+            dim, exact, _ = local_cohomology_dim_fast(M, 1, p, coh=coh)
+            assert exact and dim == coh[0] - hilbert_function(M, p), p
+
+
+def test_strand_row_needs_no_elimination(monkeypatch):
+    # at (4, 8) every summand of the curve's resolution has p - a >= 0, so
+    # the whole E1 page is the row q = 0: no Cech basis, no matrix
+    M = QuotientModule.cyclic(curve_ideal())
+    free_resolution(M)
+    calls = []
+    echelon = cohomology.echelon_mod_p
+
+    def counting_echelon(rows, p):
+        calls.append(1)
+        return echelon(rows, p)
+
+    monkeypatch.setattr(cohomology, "echelon_mod_p", counting_echelon)
+    coh = sheaf_cohomology_exact(M, (4, 8))
+    assert calls == []
+    assert coh == {0: hilbert_function(M, (4, 8)), 1: 0, 2: 0, 3: 0}
+
+
+def test_cohomology_of_a_free_complex_is_refused():
+    # the closed-form row q = 0 holds only for a resolution, so the engine
+    # resolves the module itself and takes no complex
+    M = QuotientModule.cyclic(curve_ideal())
+    F = free_resolution(M)
+    with pytest.raises(TypeError, match="FreeComplex"):
+        sheaf_cohomology_exact(F, (2, 1))
+    with pytest.raises(TypeError, match="FreeComplex"):
+        local_cohomology_dim_fast(F, 1, (2, 1))
+    # an ideal is read as S/I
+    assert sheaf_cohomology_exact(curve_ideal(), (2, 1)) == sheaf_cohomology_exact(M, (2, 1))
 
 
 # -- regularity -----------------------------------------------------------------
@@ -183,6 +317,14 @@ def test_regularity_check_surface():
     M = QuotientModule.cyclic(surface_ideal())
     rep = regularity_check(M, (1, 1))
     assert rep.verdict == "consistent-in-window"
+    # the strict regions reach below (1, 1); the witness at (0, 0) comes from
+    # the Ext-colimit fallback, the other three from the spectral sequence
+    rep = regularity_check(M, (1, 1), strict=True)
+    assert rep.verdict == "refuted"
+    assert rep.unstabilized == []
+    assert rep.checks == [
+        (3, (0, 0), 2), (3, (1, -1), 4), (3, (1, 0), 1), (2, (3, 0), 1),
+    ]
 
 
 def test_regularity_check_hypersurface_both_modes():
