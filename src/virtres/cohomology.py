@@ -74,7 +74,11 @@ def _as_quotient(M: QuotientModule | Submodule) -> QuotientModule:
     if isinstance(M, QuotientModule):
         return M
     if isinstance(M, Submodule):
-        return QuotientModule.cyclic(M)
+        # one S/I per ideal, like its Groebner basis, so that the resolution
+        # memoised on S/I serves every later call on I
+        if M._cyclic is None:
+            M._cyclic = QuotientModule.cyclic(M)
+        return M._cyclic
     raise TypeError(
         f"expected a QuotientModule or an ideal, got {type(M).__name__}"
     )
@@ -340,15 +344,23 @@ def _cech_basis(
     return sum(pat), basis, {e: k for k, e in enumerate(basis)}
 
 
-def _strand_euler_char(F: FreeComplex, p: Multidegree) -> int:
-    """sum_j (-1)^j sum_{a in F_j} dim S_{p-a}, the Euler characteristic of
-    the degree-p strand of F: HF(M, p) when F resolves M."""
-    dim_S = F.ring.hilbert_series_free
-    return sum(
-        (-1) ** j * dim_S(vsub(p, a))
-        for j, term in enumerate(F.terms)
-        for a in term.gen_degrees
-    )
+def _strand_euler_char(M: QuotientModule, p: Multidegree) -> int:
+    """HF(M, p) as sum_j (-1)^j sum_{a in F_j} dim S_{p-a}, the Euler
+    characteristic of the degree-p strand of M's resolution F.
+
+    Memoised per twist on M, since sheaf_cohomology_exact and the i = 1
+    branch of local_cohomology_dim_fast both read it.
+    """
+    hf = M._strand_hf.get(p)
+    if hf is None:
+        F = free_resolution(M)
+        dim_S = F.ring.hilbert_series_free
+        hf = M._strand_hf[p] = sum(
+            (-1) ** j * dim_S(vsub(p, a))
+            for j, term in enumerate(F.terms)
+            for a in term.gen_degrees
+        )
+    return hf
 
 
 def sheaf_cohomology_exact(
@@ -378,7 +390,7 @@ def sheaf_cohomology_exact(
     summand_data = [
         [_cech_basis(n, vsub(p, a)) for a in term.gen_degrees] for term in F.terms
     ]
-    hf = _strand_euler_char(F, p)
+    hf = _strand_euler_char(M, p)
     e2: dict[tuple[int, int], int] = {(0, 0): hf} if hf else {}
     qs = sorted({d[0] for row in summand_data for d in row if d})
     for q in qs:
@@ -484,7 +496,7 @@ def local_cohomology_dim_fast(
     elif i == 1:
         h0 = coh.get(0, None)
         if h0 is not None:
-            dim = h0 - _strand_euler_char(free_resolution(M), p)
+            dim = h0 - _strand_euler_char(M, tuple(p))
             if dim >= 0:
                 return dim, True, True
     elif i == 0:

@@ -24,8 +24,7 @@ from .ideals import (
     QuotientModule,
     Submodule,
     Subquotient,
-    b_saturate,
-    is_b_torsion,
+    _in_b_saturation,
 )
 from .ring import Multidegree, Polynomial, RingSpec, vadd, vleq
 
@@ -307,10 +306,24 @@ def minimalize(F: FreeComplex) -> FreeComplex:
 def is_virtual(
     F: FreeComplex, target: Submodule | QuotientModule
 ) -> tuple[bool, dict]:
-    """Check that F is a virtual resolution of the (B-saturated) target.
+    """Check that F is a virtual resolution of the (B-saturated) target W.
 
-    Conditions: coker d_1 agrees with the target up to B-saturation, and
-    every higher homology module is B-torsion.
+    Conditions: coker d_1 agrees with the target up to B-saturation, that is
+    im d_1 ⊆ (W : B^∞) and W ⊆ (im d_1 : B^∞), and every higher homology
+    module ker d_i / im d_{i+1} is B-torsion, that is ker d_i ⊆
+    (im d_{i+1} : B^∞).  Each containment A ⊆ (C : B^∞) is first tried by
+    a certificate: an exponent vector e with B^[e] A ⊆ C, found by
+    membership tests in C, searching |e| <= 6 for each generator of A.
+    Only when no certificate is found is C B-saturated.  So "virtual" is
+    proved by certificates or saturations, and "not virtual" always comes
+    from a saturation.
+
+    The report holds the verdicts "h0" (a bool) and "torsion" ({i: bool}),
+    and how each condition was decided: "h0_paths" maps "image" (im d_1 in
+    the saturated target) and "target" (the target in the saturated image)
+    to {"path": "certificate" or "saturation", "e": e or None}, and
+    "torsion_paths" maps each i to the same.  Checking stops at the first
+    failed condition.
     """
     if isinstance(target, Submodule):
         W = target
@@ -320,17 +333,17 @@ def is_virtual(
             return False, {"reason": "ambient free module mismatch"}
     if W.module != F.terms[0]:
         return False, {"reason": "ambient free module mismatch"}
-    report: dict = {"h0": None, "torsion": {}}
+    report: dict = {"h0": None, "torsion": {}, "h0_paths": {}, "torsion_paths": {}}
     im1 = Submodule(F.terms[0], list(F.maps[0])) if F.maps else Submodule(F.terms[0], [])
-    satW = b_saturate(W)
-    sat_im = b_saturate(im1)
-    ok0 = sat_im == satW
-    report["h0"] = ok0
-    if not ok0:
-        return False, report
+    for name, A, C in (("image", im1, W), ("target", W, im1)):
+        ok, report["h0_paths"][name] = _in_b_saturation(A, C)
+        if not ok:
+            report["h0"] = False
+            return False, report
+    report["h0"] = True
     for i in range(1, F.length + 1):
         Hi = F.homology(i)
-        ok = is_b_torsion(Hi)
+        ok, report["torsion_paths"][i] = _in_b_saturation(Hi.upper, Hi.lower)
         report["torsion"][i] = ok
         if not ok:
             return False, report

@@ -525,7 +525,8 @@ class GroebnerBasis:
         return nf
 
     def contains(self, elt: ModuleElement) -> bool:
-        return not self.normal_form(elt).terms
+        # top reduction decides membership: it stops at an irreducible lead
+        return not self._index.reduce(dict(elt.terms))
 
     def reduces_to_zero(self, elts: Iterable[ModuleElement]) -> bool:
         return all(self.contains(e) for e in elts)

@@ -7,11 +7,15 @@ finds the g with g*f_i in A_i for every block (f_i, A_i) in a single syzygy
 computation.  ``quotient`` (A : J) calls it with blocks (f, A), one per form
 f of J, and ``intersect`` A ∩ B with blocks (1, A) and (1, B).  ``saturate``
 repeats the colon until the result stops growing, and ``b_saturate``
-saturates by each irrelevant prime in turn.
+saturates by each irrelevant prime in turn.  A containment A ⊆ (W : B^∞) is
+decided by ``_in_b_saturation``: a B-power certificate proves it, and only
+when none is found is W saturated.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Iterable, Sequence
 
 from .groebner import (
@@ -30,6 +34,7 @@ from .ring import (
     Polynomial,
     RingSpec,
     _weak_compositions,
+    vleq,
     vmax,
     vsub,
 )
@@ -38,7 +43,8 @@ from .ring import (
 class Submodule:
     """A graded submodule of a free module, given by homogeneous generators."""
 
-    __slots__ = ("module", "gens", "_gb")
+    # _cyclic: the one S/I that the cohomology engines read an ideal I as
+    __slots__ = ("module", "gens", "_gb", "_cyclic")
 
     def __init__(self, module: FreeModule, gens: Iterable[ModuleElement]):
         self.module = module
@@ -52,6 +58,7 @@ class Submodule:
             clean.append(g)
         self.gens = clean
         self._gb: GroebnerBasis | None = None
+        self._cyclic: QuotientModule | None = None
 
     @property
     def ring(self) -> RingSpec:
@@ -109,7 +116,9 @@ def free_rank_one(ring: RingSpec) -> FreeModule:
 class QuotientModule:
     """A cokernel presentation F / W with W a submodule of the free module F."""
 
-    __slots__ = ("free", "relations", "_resolution", "_graded_bases", "_hom_ranks")
+    __slots__ = (
+        "free", "relations", "_resolution", "_graded_bases", "_hom_ranks", "_strand_hf",
+    )
 
     def __init__(self, free: FreeModule, relations: Submodule):
         if relations.module != free:
@@ -120,6 +129,8 @@ class QuotientModule:
         self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
         # ranks of the Ext-colimit's Hom maps, keyed on (t, k, b); see cohomology
         self._hom_ranks: dict[tuple[int, int, Multidegree], int] = {}
+        # HF(M, p) read off the resolution's degree-p strand; see cohomology
+        self._strand_hf: dict[Multidegree, int] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":
@@ -277,6 +288,19 @@ def _monomial_minimalize(codec: MonomialCodec, keys: Iterable[int]) -> list[int]
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _prime_power_keys(ring: RingSpec, i: int, k: int) -> tuple[int, ...]:
+    """Monomial keys of P_i^k, the k-th power of the i-th irrelevant prime."""
+    prime = ring.irrelevant_primes[i]
+    keys = []
+    for combo in _weak_compositions(k, len(prime)):
+        exps = [0] * ring.nvars
+        for v, e in zip(prime, combo):
+            exps[v] = e
+        keys.append(ring.codec.encode(exps))
+    return tuple(keys)
+
+
 def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     """The product B^[a] = prod_i P_i^{a_i} of powers of the irrelevant
     primes (monomial, minimally generated).
@@ -292,17 +316,7 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     if any(c < 0 for c in a):
         raise ValueError("exponents must be nonnegative")
     codec = ring.codec
-    blocks: list[list[int]] = []
-    for prime, ai in zip(ring.irrelevant_primes, a):
-        if ai == 0:
-            continue
-        keys = []
-        for combo in _weak_compositions(ai, len(prime)):
-            exps = [0] * ring.nvars
-            for v, e in zip(prime, combo):
-                exps[v] = e
-            keys.append(codec.encode(exps))
-        blocks.append(keys)
+    blocks = [_prime_power_keys(ring, i, ai) for i, ai in enumerate(a) if ai]
     amb = free_rank_one(ring)
     if not blocks:
         return Submodule(amb, [amb.wrap(ring.one())])
@@ -312,6 +326,68 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     return Submodule(
         amb, [ModuleElement(amb, {term_key(K, 0): 1}) for K in _monomial_minimalize(codec, prod)]
     )
+
+
+# The largest |e| = e_1 + ... + e_s that the B-power certificate searches for
+# one generator.  The del Pezzo points need e = (0,2,2,2,0), so |e| = 6.
+_CERT_BOUND = 6
+
+
+def _b_power_certificate(A: Submodule, W: Submodule) -> tuple[int, ...] | None:
+    """An exponent vector e with B^[e] A ⊆ W, which proves A ⊆ (W : B^∞);
+    None when some generator of A has no such e with |e| <= _CERT_BOUND.
+
+    Each generator a is searched on its own.  The vector f found for the
+    generators before it is tried first; if f fails, the candidates run in
+    order of |e|, skipping every e <= f, which fails with f.  The answer is
+    the componentwise max of the vectors found, which works for every
+    generator since B^[max] ⊆ B^[e_a].  Each test is a set of memberships
+    K*a in W over the monomials K of B^[e].
+    """
+    ring = A.ring
+    codec = ring.codec
+    s = len(ring.irrelevant_primes)
+
+    def certifies(a: ModuleElement, e: tuple[int, ...]) -> bool:
+        blocks = [_prime_power_keys(ring, i, k) for i, k in enumerate(e) if k]
+        # the products span B^[e]; those that are not minimal only repeat
+        # a test.  The product is lazy, so a failure stops it early.
+        return all(
+            W.contains(a.mono_mul(functools.reduce(codec.mul, combo, codec.one)))
+            for combo in itertools.product(*blocks)
+        )
+
+    found = (0,) * s
+    for a in A.gens:
+        if certifies(a, found):
+            continue
+        e = next(
+            (
+                e
+                for total in range(1, _CERT_BOUND + 1)
+                for e in _weak_compositions(total, s)
+                if not vleq(e, found) and certifies(a, e)
+            ),
+            None,
+        )
+        if e is None:
+            return None
+        found = vmax(found, e)
+    return found
+
+
+def _in_b_saturation(A: Submodule, W: Submodule) -> tuple[bool, dict]:
+    """Whether A ⊆ (W : B^∞), and how that was decided.
+
+    A B-power certificate proves containment; only when none is found is
+    W saturated.  So True comes from either path, and False only from the
+    saturation.  The second value is {"path": "certificate", "e": e} or
+    {"path": "saturation", "e": None}.
+    """
+    e = _b_power_certificate(A, W)
+    if e is not None:
+        return True, {"path": "certificate", "e": e}
+    return b_saturate(W).contains_submodule(A), {"path": "saturation", "e": None}
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +445,10 @@ def codim(I: Submodule) -> int:
     nvars = ring.nvars
     best = 0
     allvars = list(range(nvars))
-    import itertools as _it
-
     for size in range(nvars, 0, -1):
         if size <= best:
             break
-        for U in _it.combinations(allvars, size):
+        for U in itertools.combinations(allvars, size):
             Uset = frozenset(U)
             if not any(s <= Uset for s in supports):
                 best = size
@@ -409,7 +483,11 @@ class Subquotient:
 
 
 def is_b_torsion(M: Subquotient) -> bool:
-    """True when every element of U/W is annihilated by a power of B."""
-    if M.is_zero():
-        return True
-    return b_saturate(M.lower).contains_submodule(M.upper)
+    """True when every element of U/W is annihilated by a power of B.
+
+    That is U ⊆ (W : B^∞).  An exponent vector e with B^[e] U ⊆ W proves
+    it, searched with |e| <= 6 (``_CERT_BOUND``) for each generator of U;
+    only when none is found is W B-saturated, so False always comes from
+    the saturation.
+    """
+    return _in_b_saturation(M.upper, M.lower)[0]

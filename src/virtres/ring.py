@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import struct
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -386,7 +386,6 @@ class RingSpec:
     def hilbert_series_free(self, degree: Multidegree) -> int:
         """dim_k S_degree."""
         if self.is_product:
-            from math import comb
             if any(c < 0 for c in degree):
                 return 0
             v = 1

@@ -32,7 +32,7 @@ from virtres import (
     truncate,
     virtual_of_pair,
 )
-from virtres import cohomology
+from virtres import cohomology, complexes
 from virtres.cohomology import binom_poly
 from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, curve_ring, surface_ideal
 from virtres.groebner import GroebnerBasis, LeadIndex, term_key, term_mono, term_pos
@@ -277,6 +277,44 @@ def test_cohomology_of_a_free_complex_is_refused():
         local_cohomology_dim_fast(F, 1, (2, 1))
     # an ideal is read as S/I
     assert sheaf_cohomology_exact(curve_ideal(), (2, 1)) == sheaf_cohomology_exact(M, (2, 1))
+
+
+def test_bare_ideal_is_resolved_once(monkeypatch):
+    # an ideal is read as one S/I, which keeps its resolution across calls
+    calls = []
+    iterated = complexes._iterated_syzygies
+
+    def counting_iterated(*args, **kwargs):
+        calls.append(1)
+        return iterated(*args, **kwargs)
+
+    monkeypatch.setattr(complexes, "_iterated_syzygies", counting_iterated)
+    I = curve_ideal()
+    M = QuotientModule.cyclic(curve_ideal())
+    want = [sheaf_cohomology_exact(M, (2, 1)), local_cohomology_dim_fast(M, 1, (2, 1))]
+    calls.clear()
+    assert sheaf_cohomology_exact(I, (2, 1)) == want[0]
+    assert sheaf_cohomology_exact(I, (2, 1)) == want[0]
+    assert local_cohomology_dim_fast(I, 1, (2, 1)) == want[1]
+    assert len(calls) == 1
+
+
+def test_strand_sum_once_per_twist(monkeypatch):
+    # sheaf_cohomology_exact and the i = 1 branch both read HF(M, p) from
+    # the strand sum; the second reads the first's value
+    M = QuotientModule.cyclic(curve_ideal())
+    coh = sheaf_cohomology_exact(M, (2, 1))
+    calls = []
+    dim_S = RingSpec.hilbert_series_free
+
+    def counting_dim_S(self, degree):
+        calls.append(1)
+        return dim_S(self, degree)
+
+    monkeypatch.setattr(RingSpec, "hilbert_series_free", counting_dim_S)
+    dim, exact, _ = local_cohomology_dim_fast(M, 1, (2, 1), coh=coh)
+    assert calls == []
+    assert exact and dim == coh[0] - hilbert_function(M, (2, 1)) == 0
 
 
 # -- regularity -----------------------------------------------------------------
