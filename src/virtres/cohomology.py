@@ -139,11 +139,9 @@ def euler_char_line(n, a: Sequence[int]) -> int:
 
 def sheaf_euler_char(M: QuotientModule | Submodule | FreeComplex, b: Sequence[int]) -> int:
     """chi of the sheafification of M twisted by b, by additivity over a
-    free resolution."""
-    if isinstance(M, FreeComplex):
-        F = M
-    else:
-        F = free_resolution(M)
+    free resolution.  An ideal I is read as S/I; a FreeComplex is taken as
+    the resolution itself."""
+    F = M if isinstance(M, FreeComplex) else free_resolution(_as_quotient(M))
     ring = F.ring
     n = _dims(ring)
     b = tuple(b)
@@ -499,10 +497,6 @@ def local_cohomology_dim_fast(
             dim = h0 - _strand_euler_char(M, tuple(p))
             if dim >= 0:
                 return dim, True, True
-    elif i == 0:
-        # H^0_B is the B-torsion; for the saturated modules handled here it
-        # vanishes, but fall through to the honest computation.
-        pass
     val, stab = local_cohomology_dim(M, i, p, t_max=t_max)
     return val, False, stab
 
@@ -554,11 +548,7 @@ def regularity_check(
     unstabilized = []
     needed: dict[Multidegree, list[int]] = {}
     for i in range(1, sum(n) + 2):
-        shifts = (
-            [q for q in itertools.product(range(i), repeat=r) if sum(q) == i - 1]
-            if strict
-            else [(0,) * r]
-        )
+        shifts = _weak_compositions(i - 1, r) if strict else [(0,) * r]
         for q in shifts:
             base = vsub(d, q)
             plo = tuple(max(a, b) for a, b in zip(base, lo))

@@ -12,9 +12,9 @@ from typing import Sequence
 
 from .groebner import (
     FreeModule,
+    GroebnerEngine,
     ModuleElement,
-    _minimal_generators,
-    _syzygy_module,
+    _add_by_degree,
     syzygy_module,
     term_key,
     term_mono,
@@ -170,51 +170,61 @@ def _iterated_syzygies(
     cap: int,
     bound: Multidegree | None = None,
 ) -> list[list[ModuleElement]] | None:
-    """Differentials from iterated syzygies, starting with ``cols`` in terms[-1].
+    """Differentials of a minimal resolution of the module that ``cols``
+    generate in terms[-1], one tracked Buchberger run per level.
 
-    Each step appends the source module to ``terms``.  With ``bound`` only
-    the syzygies of degree <= bound (componentwise) are kept.  Returns None
-    when syzygies remain after ``cap`` differentials.
+    Each level feeds its columns, with ``bound`` only those of degree
+    <= bound (componentwise), into one tracking engine in degree order.
+    The columns it keeps generate minimally and form the differential,
+    whose source module is appended to ``terms``; its S-pair and Koszul
+    syzygies, renumbered to the kept columns, are the next level's columns,
+    generators that need not be minimal.  The result is a minimal
+    resolution, but which minimal generators are chosen depends on the
+    input order, so its maps are not canonical.  Returns None when columns
+    remain after ``cap`` differentials.
     """
     ring = terms[0].ring
     maps: list[list[ModuleElement]] = []
-    while cols and len(maps) < cap:
-        G = FreeModule(ring, [c._degree() for c in cols])
-        maps.append(cols)
+    while True:
+        if bound is not None:
+            cols = [c for c in cols if vleq(c._degree(), bound)]
+        if not cols or len(maps) == cap:
+            return None if cols else maps
+        engine = GroebnerEngine(terms[-1], track=True)
+        kept = _add_by_degree(engine, cols)
+        engine.process()
+        G = FreeModule(ring, [cols[i]._degree() for i in kept])
+        pos = {old: new for new, old in enumerate(kept)}
+        maps.append([cols[i] for i in kept])
         terms.append(G)
         cols = [
-            ModuleElement(G, s.terms)
-            for s in _syzygy_module(cols)
-            if bound is None or vleq(s._degree(), bound)
+            ModuleElement(G, {term_key(term_mono(t), pos[term_pos(t)]): c for t, c in s.items()})
+            for s in engine.syzygies
         ]
-    return None if cols else maps
 
 
 def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
-    """Minimal free resolution (iterated minimal syzygies).
+    """Minimal free resolution, one tracked Buchberger run per differential
+    (see ``_iterated_syzygies``; the maps are minimal, not canonical).
 
     For a QuotientModule F/W the resolution starts at F; a Submodule input
-    is resolved as the module it generates (F_0 built on its minimal
-    generators).
+    is resolved as the module it generates: the same loop run from its
+    ambient module, with that first term cut off, so that F_0 is built on
+    its minimal generators.
     """
     if isinstance(M, Submodule):
-        gens = _minimal_generators(M.gens, module=M.module)
-        if not gens:
-            amb = FreeModule(M.ring, [])
-            return FreeComplex([amb], [])
-        F0 = FreeModule(M.ring, [g._degree() for g in gens])
-        terms = [F0]
-        cols = _syzygy_module(gens)
-        cols = [ModuleElement(F0, s.terms) for s in cols]
+        terms, cols = [M.module], M.gens
+    elif M._resolution is not None:
+        return M._resolution
     else:
-        if M._resolution is not None:
-            return M._resolution
-        terms = [M.free]
-        cols = _minimal_generators(M.relations.gens, module=M.free)
+        terms, cols = [M.free], M.relations.gens
     ring = terms[0].ring
-    maps = _iterated_syzygies(terms, cols, ring.nvars + 1)
+    cut = isinstance(M, Submodule)
+    maps = _iterated_syzygies(terms, cols, ring.nvars + 1 + cut)
     if maps is None:
         raise RuntimeError("resolution did not terminate within the length cap")
+    if cut:
+        terms, maps = terms[1:] or [FreeModule(ring, [])], maps[1:]
     out = FreeComplex(terms, maps)
     # iterated syzygies of minimal generators are minimal except when the
     # presentation itself has unit entries (e.g. a relation hitting a free
@@ -223,7 +233,7 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     one = ring.codec.one
     if maps and any(term_mono(t) == one for col in maps[0] for t in col.terms):
         out = minimalize(out)
-    if isinstance(M, QuotientModule):
+    if not cut:
         M._resolution = out
     return out
 
@@ -397,10 +407,13 @@ def virtual_of_pair(
 ) -> FreeComplex:
     """Virtual resolution of the pair (M, d): iterated bounded syzygies.
 
-    At every step only the minimal kernel generators of degree at most
-    d + n (componentwise) are kept; the result is Betti-table-equal to
-    winnowing the minimal free resolution.  With ``check`` the result is
-    verified with is_virtual (expensive for large inputs).
+    At every level only the kernel generators of degree at most d + n
+    (componentwise) enter that level's one tracked Buchberger run, which
+    keeps a minimal subset of them as the differential (see
+    ``_iterated_syzygies``; the maps are minimal, not canonical).  The
+    result is Betti-table-equal to winnowing the minimal free resolution.
+    With ``check`` the result is verified with is_virtual (expensive for
+    large inputs).
     """
     if isinstance(M, Submodule):
         M = QuotientModule.cyclic(M)
@@ -410,9 +423,7 @@ def virtual_of_pair(
     d = tuple(d)
     bound = vadd(d, ring.dimension_vector)
     terms = [M.free]
-    rel = _minimal_generators(M.relations.gens, module=M.free)
-    cols = [g for g in rel if vleq(g._degree(), bound)]
-    maps = _iterated_syzygies(terms, cols, ring.nvars + 2, bound)
+    maps = _iterated_syzygies(terms, M.relations.gens, ring.nvars + 2, bound)
     if maps is None:
         raise RuntimeError(
             "virtual resolution of the pair did not terminate; "

@@ -5,10 +5,14 @@ term keys to coefficients.  A term key stacks the packed monomial key above
 a complemented position field, so plain integer comparison realises the
 term-over-position order induced by the ring's weighted grevlex.
 
-The engine keeps, for every basis element, a representation in the original
-generators ("tag").  Every S-pair that reduces to zero then hands us a
-syzygy of the generators for free; together with the Koszul relations of
-coprime-skipped pairs these generate the full syzygy module.
+Inputs enter an engine only through ``_add_by_degree``, in degree order:
+each is top-reduced by the basis completed up to its degree and kept only
+when something is left, so the kept inputs generate minimally.  A tracking
+engine tags input i with position i and keeps, for every basis element, its
+representation in the inputs.  Every S-pair that reduces to zero then hands
+us a syzygy of the kept inputs; with the Koszul relations of coprime-skipped
+pairs these generate all their syzygies, and the relations recorded for the
+dropped inputs complete the syzygies of all inputs.
 """
 
 from __future__ import annotations
@@ -329,14 +333,12 @@ class GroebnerEngine:
     The basis is append-only; ``process(limit)`` completes all S-pairs whose
     weighted element degree is at most ``limit`` (or all of them when limit
     is None), so the engine supports degree-truncated membership tests.
+    Inputs enter through ``_add_by_degree``.  ``syzygies`` holds the S-pair
+    and Koszul syzygies, ``relations`` those of the inputs that were zero
+    or reduced to zero.
     """
 
-    def __init__(
-        self,
-        module: FreeModule,
-        gens: Iterable[ModuleElement] = (),
-        track: bool = False,
-    ):
+    def __init__(self, module: FreeModule, track: bool = False):
         self.module = module
         self.ring = module.ring
         self.codec = module.ring.codec
@@ -345,24 +347,7 @@ class GroebnerEngine:
         self.index = LeadIndex(module.ring)
         self.pairs: list[tuple[int, int, int, int]] = []
         self.syzygies: list[dict[int, int]] = []
-        self.n_input = 0
-        self.tag_module: FreeModule | None = None
-        gens = list(gens)
-        if track:
-            # zero generators still occupy a tag slot; give them degree 0
-            degs = [
-                g._degree() if g.terms else (0,) * module.ring.rank_grading
-                for g in gens
-            ]
-            self.tag_module = FreeModule(module.ring, degs)
-        for i, g in enumerate(gens):
-            self.n_input += 1
-            if not g.terms:
-                if track:
-                    self.syzygies.append({term_key(self.codec.one, i): 1})
-                continue
-            rep = {term_key(self.codec.one, i): 1} if track else None
-            self._append(dict(g.terms), rep)
+        self.relations: list[dict[int, int]] = []
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -577,23 +562,31 @@ def _check_homogeneous(elements: Iterable[ModuleElement]) -> None:
             e.multidegree()
 
 
-def _add_by_degree(engine: GroebnerEngine, elems: Sequence[ModuleElement]) -> list[ModuleElement]:
-    """Feed nonzero homogeneous ``elems`` into ``engine`` in degree order.
+def _add_by_degree(engine: GroebnerEngine, elems: Sequence[ModuleElement]) -> list[int]:
+    """Feed homogeneous ``elems`` into ``engine`` in degree order.
 
     Before each element the engine completes the S-pairs up to its degree;
     the element is then top-reduced and added only when something is left.
-    Returns the elements added: a minimal generating subset of ``elems``.
+    A tracking engine tags element i with position i and records, in
+    ``engine.relations``, the representation of each element that is zero
+    or reduces to zero.  Returns the positions of the elements added, in
+    the order they entered: a minimal generating subset of ``elems``.
     """
-    degs = [e._degree() for e in elems]
-    wdegs = [element_wdeg(engine.module, d) for d in degs]
-    order = sorted(range(len(elems)), key=lambda i: (wdegs[i], degs[i], i))
-    kept: list[ModuleElement] = []
-    for i in order:
+    one = engine.codec.one
+    degs = {i: e._degree() for i, e in enumerate(elems) if e.terms}
+    wdegs = {i: element_wdeg(engine.module, d) for i, d in degs.items()}
+    if engine.track:
+        engine.relations += [{term_key(one, i): 1} for i in range(len(elems)) if i not in degs]
+    kept: list[int] = []
+    for i in sorted(degs, key=lambda i: (wdegs[i], degs[i], i)):
         engine.process(wdegs[i])
-        f = engine.index.reduce(dict(elems[i].terms))
+        rep = {term_key(one, i): 1} if engine.track else None
+        f = engine.index.reduce(dict(elems[i].terms), rep)
         if f:
-            kept.append(elems[i])
-            engine._append(f, None)
+            kept.append(i)
+            engine._append(f, rep)
+        elif rep:
+            engine.relations.append(rep)
     return kept
 
 
@@ -644,11 +637,13 @@ def syzygy_module(
 def _syzygy_module(gens: Sequence[ModuleElement], minimalize: bool = True) -> list[ModuleElement]:
     if not gens:
         return []
-    module = gens[0].module
-    engine = GroebnerEngine(module, gens, track=True)
+    engine = GroebnerEngine(gens[0].module, track=True)
+    _add_by_degree(engine, gens)
     engine.process()
-    tag = engine.tag_module
-    syz = [ModuleElement(tag, s) for s in engine.syzygies]
+    # zero generators still occupy a tag slot; give them degree 0
+    zero = (0,) * engine.ring.rank_grading
+    tag = FreeModule(engine.ring, [g._degree() if g.terms else zero for g in gens])
+    syz = [ModuleElement(tag, s) for s in engine.relations + engine.syzygies]
     if minimalize:
         syz = _minimal_generators(syz, module=tag)
     return syz
@@ -670,4 +665,4 @@ def _minimal_generators(
         return []
     if module is None:
         module = elems[0].module
-    return _add_by_degree(GroebnerEngine(module), elems)
+    return [elems[i] for i in _add_by_degree(GroebnerEngine(module), elems)]

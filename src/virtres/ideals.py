@@ -475,9 +475,6 @@ class Subquotient:
         self.upper = upper
         self.lower = lower
 
-    def is_zero(self) -> bool:
-        return self.lower.contains_submodule(self.upper)
-
     def __repr__(self) -> str:
         return f"Subquotient({len(self.upper.gens)} upper gens / {len(self.lower.gens)} lower gens)"
 

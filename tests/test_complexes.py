@@ -8,6 +8,7 @@ import pytest
 
 from virtres import (
     BettiTable,
+    FreeModule,
     Polynomial,
     QuotientModule,
     RingSpec,
@@ -38,6 +39,7 @@ from virtres.fixtures import (
 )
 
 R11 = RingSpec.product([1, 1], char=101)
+R12 = RingSpec.product([1, 2], char=101)
 
 
 def twist_dict(B: BettiTable) -> dict:
@@ -147,9 +149,18 @@ def random_bsat_ideal(ring, seed):
             return I
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_resolution_exact_and_minimal_random(seed):
-    I = random_bsat_ideal(R11, seed)
+def random_cases(r11_seeds, r12_seeds):
+    """(ring, seed) cases, with ids "seed" on P^1 x P^1 and "P1xP2-seed"."""
+    return [pytest.param(R11, s, id=str(s)) for s in r11_seeds] + [
+        pytest.param(R12, s, id=f"P1xP2-{s}") for s in r12_seeds
+    ]
+
+
+# P1xP2 seed 0 is left out for time only: a 14-generator ideal that takes
+# about 40 s to resolve and check
+@pytest.mark.parametrize("ring,seed", random_cases(range(4), range(1, 8)))
+def test_resolution_exact_and_minimal_random(ring, seed):
+    I = random_bsat_ideal(ring, seed)
     F = free_resolution(QuotientModule.cyclic(I))
     assert_complex_and_exact(F)
     assert_minimal(F)
@@ -158,16 +169,60 @@ def test_resolution_exact_and_minimal_random(seed):
     assert gb.reduces_to_zero(F.maps[0]) if F.maps else I.is_zero()
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_winnow_matches_pair_construction_random(seed):
+@pytest.mark.parametrize("ring,seed", random_cases(range(4), range(3)))
+def test_winnow_matches_pair_construction_random(ring, seed):
     rng = random.Random(1000 + seed)
-    I = random_bsat_ideal(R11, 50 + seed)
+    I = random_bsat_ideal(ring, 50 + seed)
     M = QuotientModule.cyclic(I)
     F = free_resolution(M)
-    d = (rng.randrange(3), rng.randrange(3))
+    d = tuple(rng.randrange(3) for _ in range(ring.rank_grading))
     assert BettiTable.from_complex(winnow(F, d)) == BettiTable.from_complex(
         virtual_of_pair(M, d)
     )
+
+
+def test_presentation_with_unit_entry_is_minimalized():
+    # F = S + S(-(1,0)) modulo e1 - x0*e0, x1*e1, y0*e0 is S/(x0*x1, y0): the
+    # unit entry of the first relation cancels e1 against it
+    x0, x1, y0 = R11.x(1, 0), R11.x(1, 1), R11.x(2, 0)
+    F = FreeModule(R11, [(0, 0), (1, 0)])
+    e0, e1 = F.basis_element(0), F.basis_element(1)
+    W = Submodule(F, [e1 - e0.poly_mul(x0), e1.poly_mul(x1), e0.poly_mul(y0)])
+    R = free_resolution(QuotientModule(F, W))
+    assert_complex_and_exact(R)
+    assert_minimal(R)
+    assert twist_dict(BettiTable.from_complex(R)) == {
+        0: {(0, 0): 1}, 1: {(2, 0): 1, (0, 1): 1}, 2: {(2, 1): 1}
+    }
+
+
+def test_submodule_resolution_is_the_quotient_one_shifted():
+    I = curve_ideal()
+    F = free_resolution(I)
+    cyclic = free_resolution(QuotientModule.cyclic(I))
+    assert BettiTable.from_complex(F).totals == [8, 12, 6, 1]
+    assert BettiTable.from_complex(cyclic).totals == [1, 8, 12, 6, 1]
+    assert [sorted(t.gen_degrees) for t in F.terms] == [
+        sorted(t.gen_degrees) for t in cyclic.terms[1:]
+    ]
+    assert_complex_and_exact(F)
+    assert_minimal(F)
+
+
+@pytest.mark.parametrize("make", [curve_ideal, surface_ideal])
+def test_one_engine_per_differential(make, monkeypatch):
+    from virtres.groebner import GroebnerEngine
+
+    built = []
+    init = GroebnerEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroebnerEngine, "__init__", counting_init)
+    F = free_resolution(QuotientModule.cyclic(make()))
+    assert len(built) == F.length
 
 
 # -- Koszul and tensor --------------------------------------------------------

@@ -108,6 +108,22 @@ def test_syzygies_annihilate_generators(seed):
         assert s.is_homogeneous()
 
 
+def test_syzygy_of_zero_input_is_its_basis_vector():
+    F = FreeModule(R11, [(0, 0)])
+    syz = syzygy_module([F.zero(), F.wrap(R11.x(1, 0))])
+    assert syz == [syz[0].module.basis_element(0)]
+
+
+def test_syzygies_keep_the_relation_of_a_redundant_input():
+    # the colon routine reads the relations of inputs that reduce to zero
+    x, y = R11.x(1, 0), R11.x(1, 1)
+    gens, F = wrap_all(R11, [x, y, x])
+    syz = syzygy_module(gens, minimalize=False)
+    tag = syz[0].module
+    rel = tag.basis_element(0) - tag.basis_element(2)
+    assert rel in syz or -rel in syz
+
+
 def test_minimal_generators_drops_redundant():
     x, y = R11.x(1, 0), R11.x(1, 1)
     z = R11.x(2, 0)
