@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cohomology import beilinson_shape, regularity_check
 from .complexes import (
@@ -618,7 +619,9 @@ def cmd_fixtures(args) -> int:
 # entry point
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     ap = argparse.ArgumentParser(
         prog="virtres",
         description="Multigraded free and virtual resolutions over Cox rings.",

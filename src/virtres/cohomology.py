@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Sequence
 
 from .complexes import FreeComplex, free_resolution
@@ -49,11 +49,8 @@ def binom_poly(m: int, k: int) -> int:
     num = 1
     for j in range(k):
         num *= m - j
-    val = Fraction(num, 1)
-    for j in range(2, k + 1):
-        val /= j
-    assert val.denominator == 1
-    return int(val)
+    # a product of k consecutive integers is divisible by k!
+    return num // factorial(k)
 
 
 def _dims(n) -> tuple[int, ...]:
@@ -100,6 +97,19 @@ class CohomologyProfile:
         return sum((-1) ** q * d for q, d in self.dims.items())
 
 
+def _pattern(n: tuple[int, ...], c: Multidegree) -> tuple[int, ...] | None:
+    """Per-factor cohomological degrees (q_1, ..., q_r) of O(c), or None."""
+    out = []
+    for ni, ci in zip(n, c):
+        if ci >= 0:
+            out.append(0)
+        elif ci <= -ni - 1:
+            out.append(ni)
+        else:
+            return None
+    return tuple(out)
+
+
 def line_bundle_cohomology(n, a: Sequence[int]) -> CohomologyProfile:
     """Künneth cohomology of O(a) on the product of projective spaces P^n.
 
@@ -110,19 +120,14 @@ def line_bundle_cohomology(n, a: Sequence[int]) -> CohomologyProfile:
     a = tuple(a)
     if len(a) != len(n):
         raise ValueError("twist length must match the number of factors")
-    q = 0
-    dim = 1
-    for ni, ai in zip(n, a):
-        if ai >= 0:
-            dim *= binom_poly(ai + ni, ni)
-        elif ai <= -ni - 1:
-            q += ni
-            dim *= binom_poly(-ai - 1, ni)
-        else:
-            return CohomologyProfile({})
-    if dim == 0:
+    pat = _pattern(n, a)
+    if pat is None:
         return CohomologyProfile({})
-    return CohomologyProfile({q: dim})
+    dim = prod(
+        binom_poly(ai + ni, ni) if qi == 0 else binom_poly(-ai - 1, ni)
+        for ni, qi, ai in zip(n, pat, a)
+    )
+    return CohomologyProfile({sum(pat): dim})
 
 
 def euler_char_line(n, a: Sequence[int]) -> int:
@@ -137,20 +142,22 @@ def euler_char_line(n, a: Sequence[int]) -> int:
     return out
 
 
+def _alternating_sum(F: FreeComplex, f) -> int:
+    """sum_j (-1)^j sum_{a in F_j} f(a), over the generator degrees a of
+    each term F_j: the additivity of an Euler characteristic over F."""
+    return sum(
+        (-1) ** j * f(a) for j, term in enumerate(F.terms) for a in term.gen_degrees
+    )
+
+
 def sheaf_euler_char(M: QuotientModule | Submodule | FreeComplex, b: Sequence[int]) -> int:
     """chi of the sheafification of M twisted by b, by additivity over a
     free resolution.  An ideal I is read as S/I; a FreeComplex is taken as
     the resolution itself."""
     F = M if isinstance(M, FreeComplex) else free_resolution(_as_quotient(M))
-    ring = F.ring
-    n = _dims(ring)
+    n = _dims(F.ring)
     b = tuple(b)
-    total = 0
-    for i, term in enumerate(F.terms):
-        sign = (-1) ** i
-        for a in term.gen_degrees:
-            total += sign * euler_char_line(n, vsub(b, a))
-    return total
+    return _alternating_sum(F, lambda a: euler_char_line(n, vsub(b, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +303,6 @@ def _box(lo: Multidegree, hi: Multidegree):
     return itertools.product(*ranges)
 
 
-def _pattern(n: tuple[int, ...], c: Multidegree) -> tuple[int, ...] | None:
-    """Per-factor cohomological degrees (q_1, ..., q_r) of O(c), or None."""
-    out = []
-    for ni, ci in zip(n, c):
-        if ci >= 0:
-            out.append(0)
-        elif ci <= -ni - 1:
-            out.append(ni)
-        else:
-            return None
-    return tuple(out)
-
-
 def _factor_exponents(ni: int, qi: int, ci: int) -> list[tuple[int, ...]]:
     """Monomial basis of H^{q_i}(P^{n_i}, O(c_i)) as exponent tuples.
 
@@ -321,14 +315,16 @@ def _factor_exponents(ni: int, qi: int, ci: int) -> list[tuple[int, ...]]:
     return [tuple(-1 - f for f in e) for e in _weak_compositions(total, ni + 1)]
 
 
+@lru_cache(maxsize=None)
 def _cech_basis(
     n: tuple[int, ...], c: Multidegree
-) -> tuple[int, list[tuple[int, ...]], dict[tuple[int, ...], int]] | None:
+) -> tuple[int, tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]] | None:
     """(q, basis, index of each basis exponent) for the single nonzero
     cohomology H^q(O(c)) when q > 0, or None.
 
     H^0 (c >= 0 componentwise) also gives None: sheaf_cohomology_exact counts
-    the row q = 0 in closed form and never enumerates its basis.
+    the row q = 0 in closed form and never enumerates its basis.  Memoised:
+    the value is shared, so the basis is a tuple and the index is only read.
     """
     pat = _pattern(n, c)
     if pat is None or not any(pat):
@@ -338,7 +334,7 @@ def _cech_basis(
     ]
     if any(not f for f in factors):
         return None
-    basis = [sum(combo, ()) for combo in itertools.product(*factors)]
+    basis = tuple(sum(combo, ()) for combo in itertools.product(*factors))
     return sum(pat), basis, {e: k for k, e in enumerate(basis)}
 
 
@@ -353,11 +349,7 @@ def _strand_euler_char(M: QuotientModule, p: Multidegree) -> int:
     if hf is None:
         F = free_resolution(M)
         dim_S = F.ring.hilbert_series_free
-        hf = M._strand_hf[p] = sum(
-            (-1) ** j * dim_S(vsub(p, a))
-            for j, term in enumerate(F.terms)
-            for a in term.gen_degrees
-        )
+        hf = M._strand_hf[p] = _alternating_sum(F, lambda a: dim_S(vsub(p, a)))
     return hf
 
 
@@ -677,16 +669,12 @@ def beilinson_shape(
     F = free_resolution(M)
     blocks: dict[int, dict[Multidegree, int]] = {}
     for u in itertools.product(*[range(ni + 1) for ni in n]):
-        rank = 0
-        for j, term in enumerate(F.terms):
-            sign = (-1) ** j
-            for a in term.gen_degrees:
-                prod = 1
-                for ni, ui, di, ai in zip(n, u, d, a):
-                    prod *= _chi_omega(ni, ui, ui + di - ai)
-                    if prod == 0:
-                        break
-                rank += sign * prod
+        rank = _alternating_sum(
+            F,
+            lambda a: prod(
+                _chi_omega(ni, ui, ui + di - ai) for ni, ui, di, ai in zip(n, u, d, a)
+            ),
+        )
         if rank < 0:
             raise ValueError(
                 f"vanishing assumption violated: block u={u} has negative "

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .ring import EXP_MAX, Multidegree, Polynomial, RingSpec, vadd
+from .ring import EXP_MAX, Multidegree, Polynomial, RingSpec, axpy, vadd
 
 POS_BITS = 20
 POS_MAX = (1 << POS_BITS) - 1
@@ -133,25 +133,13 @@ class ModuleElement:
         return t, self.terms[t]
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        p = self.ring.char
         d = dict(self.terms)
-        for t, c in other.terms.items():
-            v = (d.get(t, 0) + c) % p
-            if v:
-                d[t] = v
-            else:
-                d.pop(t, None)
+        axpy(d, 1, other.terms, 0, self.ring.char)
         return ModuleElement(self.module, d)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        p = self.ring.char
         d = dict(self.terms)
-        for t, c in other.terms.items():
-            v = (d.get(t, 0) - c) % p
-            if v:
-                d[t] = v
-            else:
-                d.pop(t, None)
+        axpy(d, -1, other.terms, 0, self.ring.char)
         return ModuleElement(self.module, d)
 
     def __neg__(self) -> "ModuleElement":
@@ -179,10 +167,17 @@ class ModuleElement:
         )
 
     def poly_mul(self, poly: Polynomial) -> "ModuleElement":
-        out = self.module.zero()
-        for k, c in sorted(poly.terms.items()):
-            out = out + self.mono_mul(k, c)
-        return out
+        ring = self.ring
+        if not self.terms or not poly.terms:
+            return self.module.zero()
+        wdeg = ring.codec.wdeg
+        if wdeg(term_mono(max(self.terms))) + wdeg(max(poly.terms)) > EXP_MAX:
+            raise OverflowError("weighted degree exceeds packed-monomial capacity")
+        C0 = ring.codec.C0
+        d: dict[int, int] = {}
+        for k, c in poly.terms.items():
+            axpy(d, c, self.terms, (k - C0) << POS_BITS, ring.char)
+        return ModuleElement(self.module, d)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -303,23 +298,11 @@ class LeadIndex:
                     return f
                 out[T] = f.pop(T)
                 continue
-            c = (f[T] * lead_inv[red]) % p
+            c = -f[T] * lead_inv[red] % p
             shift = (quot(K, lead_K[red]) - C0) << POS_BITS
-            for T2, c2 in polys[red].items():
-                t = T2 + shift
-                v = (f.get(t, 0) - c * c2) % p
-                if v:
-                    f[t] = v
-                else:
-                    f.pop(t, None)
+            axpy(f, c, polys[red], shift, p)
             if rep is not None:
-                for T2, c2 in reps[red].items():
-                    t = T2 + shift
-                    v = (rep.get(t, 0) - c * c2) % p
-                    if v:
-                        rep[t] = v
-                    else:
-                        rep.pop(t, None)
+                axpy(rep, c, reps[red], shift, p)
         return out if full else f
 
 
@@ -373,21 +356,12 @@ class GroebnerEngine:
 
     def _record_koszul(self, i: int, j: int) -> None:
         """Syzygy g_j * rep_i - g_i * rep_j for a coprime-skipped pair."""
-        p = self.p
         C0 = self.codec.C0
         polys, reps = self.index.polys, self.index.reps
         syz: dict[int, int] = {}
-        for gsrc, rep in ((polys[j], reps[i]), (polys[i], reps[j])):
-            sign = 1 if gsrc is polys[j] else -1
-            for Tg, cg in gsrc.items():
-                shift = (term_mono(Tg) - C0) << POS_BITS
-                for Tr, cr in rep.items():
-                    t = Tr + shift
-                    v = (syz.get(t, 0) + sign * cg * cr) % p
-                    if v:
-                        syz[t] = v
-                    else:
-                        syz.pop(t, None)
+        for g, rep, sign in ((polys[j], reps[i], 1), (polys[i], reps[j], -1)):
+            for Tg, cg in g.items():
+                axpy(syz, sign * cg, rep, (term_mono(Tg) - C0) << POS_BITS, self.p)
         if syz:
             self.syzygies.append(syz)
 
@@ -435,27 +409,13 @@ class GroebnerEngine:
             si = (codec.quot(L, idx.lead_K[i]) - codec.C0) << POS_BITS
             sj = (codec.quot(L, idx.lead_K[j]) - codec.C0) << POS_BITS
             f: dict[int, int] = {}
-            for T2, c2 in idx.polys[i].items():
-                f[T2 + si] = (ci * c2) % p
-            for T2, c2 in idx.polys[j].items():
-                t = T2 + sj
-                v = (f.get(t, 0) - cj * c2) % p
-                if v:
-                    f[t] = v
-                else:
-                    f.pop(t, None)
+            axpy(f, ci, idx.polys[i], si, p)
+            axpy(f, -cj, idx.polys[j], sj, p)
             rep: dict[int, int] | None = None
             if self.track:
                 rep = {}
-                for T2, c2 in idx.reps[i].items():
-                    rep[T2 + si] = (ci * c2) % p
-                for T2, c2 in idx.reps[j].items():
-                    t = T2 + sj
-                    v = (rep.get(t, 0) - cj * c2) % p
-                    if v:
-                        rep[t] = v
-                    else:
-                        rep.pop(t, None)
+                axpy(rep, ci, idx.reps[i], si, p)
+                axpy(rep, -cj, idx.reps[j], sj, p)
             idx.reduce(f, rep)
             if f:
                 self._append(f, rep)

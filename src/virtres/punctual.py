@@ -36,8 +36,8 @@ from .ring import (
     Polynomial,
     RingSpec,
     SparseRow,
+    axpy,
     echelon_mod_p,
-    sub_multiple_mod_p,
     vadd,
 )
 
@@ -152,7 +152,7 @@ def _nullspace_mod_p(rows: list[SparseRow], ncols: int, p: int) -> list[list[int
         row = ech[pivots[i]]
         for pc in pivots[i + 1:]:
             if pc in row:
-                sub_multiple_mod_p(row, row[pc], ech[pc], p)
+                axpy(row, -row[pc], ech[pc], 0, p)
     basis = []
     for fc in range(ncols):
         if fc in ech:
@@ -254,11 +254,7 @@ def _points_ideal_raw(config: PointConfig) -> Submodule:
     ring = config.ring
     I = None
     for pt in config.points:
-        P = (
-            point_ideal(ring, pt)
-            if ring.is_product
-            else _evaluation_ideal(ring, [_flat_coords(ring, pt)])
-        )
+        P = point_ideal(ring, pt)
         I = P if I is None else intersect(I, P)
     # each point ideal is B-saturated, and saturation commutes with
     # intersection, so I is B-saturated already

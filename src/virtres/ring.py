@@ -188,6 +188,25 @@ def check_char(p: int) -> None:
 SparseRow = dict[int, int]
 
 
+def axpy(d: SparseRow, c: int, src: SparseRow, shift: int, p: int) -> None:
+    """d += c * src, src's keys moved by ``shift``, over F_p, in place.
+
+    For each key k of src, d[k + shift] becomes (d[k + shift] + c * src[k])
+    mod p, and a key whose value becomes 0 is dropped, so d never stores a
+    zero.  Every sparse update of polynomials, module elements and matrix
+    rows goes through here: with packed keys, multiplying by a monomial is
+    the shift.
+    """
+    get = d.get
+    for k, v in src.items():
+        k += shift
+        w = (get(k, 0) + c * v) % p
+        if w:
+            d[k] = w
+        else:
+            d.pop(k, None)
+
+
 def echelon_mod_p(rows: Iterable[SparseRow], p: int) -> dict[int, SparseRow]:
     """Row echelon form over F_p of sparse ``{column: value}`` rows.
 
@@ -200,11 +219,8 @@ def echelon_mod_p(rows: Iterable[SparseRow], p: int) -> dict[int, SparseRow]:
     check_char(p)
     reduced = []
     for row in rows:
-        red = {}
-        for c, v in row.items():
-            v %= p
-            if v:
-                red[c] = v
+        red: SparseRow = {}
+        axpy(red, 1, row, 0, p)
         if red:
             reduced.append(red)
     reduced.sort(key=len)
@@ -217,18 +233,8 @@ def echelon_mod_p(rows: Iterable[SparseRow], p: int) -> dict[int, SparseRow]:
                 inv = pow(row[c], p - 2, p)
                 pivots[c] = {k: v * inv % p for k, v in row.items()}
                 break
-            sub_multiple_mod_p(row, row[c], prow, p)
+            axpy(row, -row[c], prow, 0, p)
     return pivots
-
-
-def sub_multiple_mod_p(row: SparseRow, f: int, other: SparseRow, p: int) -> None:
-    """row -= f * other over F_p, in place, dropping entries that vanish."""
-    for k, v in other.items():
-        w = (row.get(k, 0) - f * v) % p
-        if w:
-            row[k] = w
-        else:
-            row.pop(k, None)
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +496,13 @@ class Polynomial:
         return Polynomial(self.ring, dict(self.terms))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        p = self.ring.char
         d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = (d.get(k, 0) + c) % p
-            if v:
-                d[k] = v
-            else:
-                d.pop(k, None)
+        axpy(d, 1, other.terms, 0, self.ring.char)
         return Polynomial(self.ring, d)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        p = self.ring.char
         d = dict(self.terms)
-        for k, c in other.terms.items():
-            v = (d.get(k, 0) - c) % p
-            if v:
-                d[k] = v
-            else:
-                d.pop(k, None)
+        axpy(d, -1, other.terms, 0, self.ring.char)
         return Polynomial(self.ring, d)
 
     def __neg__(self) -> "Polynomial":
@@ -550,14 +544,7 @@ class Polynomial:
         C0 = ring.codec.C0
         d: dict[int, int] = {}
         for k2, c2 in b.items():
-            shift = k2 - C0
-            for k1, c1 in a.items():
-                k = k1 + shift
-                v = (d.get(k, 0) + c1 * c2) % p
-                if v:
-                    d[k] = v
-                else:
-                    d.pop(k, None)
+            axpy(d, c2, a, k2 - C0, p)
         return Polynomial(ring, d)
 
     def __rmul__(self, other) -> "Polynomial":

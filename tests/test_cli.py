@@ -173,6 +173,23 @@ def test_usage_errors_exit_2(capsys):
     assert "expected 2 components" in err
 
 
+def test_usage_error_then_good_call_in_one_process(capsys):
+    # the parser is built once and reused: a rejected command line must
+    # leave nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["res"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--ideal" in captured.err and not captured.out
+    assert main(["res", "--ideal", CURVE_VR]) == 0
+    captured = capsys.readouterr()
+    assert "totals: (1, 8, 12, 6, 1)" in captured.out and not captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["truncate", "--ideal", CURVE_VR])
+    assert exc.value.code == 2
+    assert "--degree" in capsys.readouterr().err
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.vr"
     bad.write_text("ring P(1,1)\nideal I = x(1,0) + x(2,0)\n")

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from virtres import Polynomial, RingSpec, vadd, vleq, vsub
 from virtres.fixtures import del_pezzo_ring, hirzebruch_ideal
+from virtres.groebner import FreeModule, ModuleElement, term_key, term_mono, term_pos
 from virtres.punctual import _nullspace_mod_p
-from virtres.ring import EXP_MAX, FIELD_BITS, MAX_VARS, MonomialCodec, echelon_mod_p
+from virtres.ring import EXP_MAX, FIELD_BITS, MAX_VARS, MonomialCodec, axpy, echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -328,3 +329,115 @@ def structurally_sparse_rows(draw, p):
 def test_echelon_mod_p_structurally_sparse_rows(p, data):
     cols, rows = data.draw(structurally_sparse_rows(p))
     _check_against_oracle(rows, cols, p)
+
+
+# -- the sparse update kernel --------------------------------------------------------
+
+
+def _dense_oracle(p, pairs):
+    """Sum of the (key, value) pairs in Python ints, reduced mod p at the end
+    with the zeros filtered out."""
+    acc: dict = {}
+    for k, v in pairs:
+        acc[k] = acc.get(k, 0) + v
+    return {k: v % p for k, v in acc.items() if v % p}
+
+
+@st.composite
+def axpy_cases(draw):
+    """(d, c, src, shift, p, cancelled): d stores reduced nonzero values, and
+    the keys in ``cancelled`` are set up so that c * src cancels them exactly."""
+    p = draw(st.sampled_from([2, 7, 101, P_MAX]))
+    src = draw(st.dictionaries(st.integers(0, 40), st.integers(-3 * p, 3 * p), max_size=12))
+    c = draw(st.one_of(st.integers(1, p - 1), st.integers(-3 * p, 3 * p)))
+    shift = draw(st.integers(-50, 50).filter(bool))
+    d = draw(st.dictionaries(st.integers(-50, 90), st.integers(1, p - 1), max_size=12))
+    cancelled = draw(st.sets(st.sampled_from(sorted(src)))) if src else set()
+    cancelled = {k for k in cancelled if c * src[k] % p}
+    for k in cancelled:
+        d[k + shift] = -c * src[k] % p
+    return d, c, src, shift, p, {k + shift for k in cancelled}
+
+
+@given(axpy_cases())
+@settings(max_examples=300, deadline=None)
+def test_axpy_against_dense_oracle(case):
+    d, c, src, shift, p, cancelled = case
+    want = _dense_oracle(p, [*d.items(), *((k + shift, c * v) for k, v in src.items())])
+    src_before = dict(src)
+    axpy(d, c, src, shift, p)
+    assert d == want
+    assert src == src_before
+    assert not cancelled & d.keys()
+    assert all(0 < v < p for v in d.values())
+
+
+# a small field and few monomials, so that terms often cancel
+R7 = RingSpec.product([1, 1], char=7)
+
+
+@st.composite
+def exponent_polys(draw, ring):
+    """{exponent tuple: coefficient}, inhomogeneous, small exponents."""
+    exps = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    return draw(st.dictionaries(exps, st.integers(1, ring.char - 1), max_size=6))
+
+
+def _poly(ring, terms):
+    return Polynomial(ring, {ring.codec.encode(e): c for e, c in terms.items()})
+
+
+def _decoded(ring, poly):
+    assert all(0 < c < ring.char for c in poly.terms.values())
+    return {ring.codec.decode(k): c for k, c in poly.terms.items()}
+
+
+def _eadd(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
+@given(exponent_polys(R7), exponent_polys(R7))
+@settings(max_examples=200, deadline=None)
+def test_polynomial_arithmetic_against_dense_oracle(a, b):
+    p = R7.char
+    fa, fb = _poly(R7, a), _poly(R7, b)
+    assert _decoded(R7, fa + fb) == _dense_oracle(p, [*a.items(), *b.items()])
+    assert _decoded(R7, fa - fb) == _dense_oracle(p, [*a.items(), *((e, -c) for e, c in b.items())])
+    assert (fa - fa).terms == {}
+    assert _decoded(R7, fa * fb) == _dense_oracle(
+        p, [(_eadd(e1, e2), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()]
+    )
+
+
+@given(
+    st.dictionaries(st.integers(0, 2), exponent_polys(R7), max_size=3),
+    exponent_polys(R7),
+)
+# (x0 + x1) e1 * (x0 - x1): the cross terms cancel
+@example({1: {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}}, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 6})
+@settings(max_examples=200, deadline=None)
+def test_module_poly_mul_against_dense_oracle(coords, b):
+    F = FreeModule(R7, [(0, 0), (1, 0), (0, 1)])
+    encode = R7.codec.encode
+    elt = ModuleElement(
+        F, {term_key(encode(e), pos): c for pos, a in coords.items() for e, c in a.items()}
+    )
+    got = elt.poly_mul(_poly(R7, b))
+    assert all(0 < c < R7.char for c in got.terms.values())
+    want = _dense_oracle(
+        R7.char,
+        [
+            ((_eadd(e1, e2), pos), c1 * c2)
+            for pos, a in coords.items()
+            for e1, c1 in a.items()
+            for e2, c2 in b.items()
+        ],
+    )
+    assert {(R7.codec.decode(term_mono(t)), term_pos(t)): c for t, c in got.terms.items()} == want
+
+
+def test_module_poly_mul_overflow_raises():
+    F = FreeModule(R11, [(0, 0)])
+    f = R11.x(1, 0) ** 30000
+    with pytest.raises(OverflowError):
+        F.wrap(f).poly_mul(f)
