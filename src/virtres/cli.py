@@ -69,6 +69,11 @@ class Token:
 
 
 _SYMBOLS = "()[]=+-*^,"
+# ASCII only: str.isdigit and str.isalpha also accept characters such as
+# '²' or '١', which int() then refuses or silently reads as a digit
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -85,15 +90,15 @@ def _tokenize(text: str) -> list[Token]:
             if ch in _SYMBOLS:
                 out.append(Token("SYM", ch, ln, col))
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < len(line) and line[j].isdigit():
+                while j < len(line) and line[j] in _DIGITS:
                     j += 1
                 out.append(Token("INT", line[i:j], ln, col))
                 i = j
-            elif ch.isalpha() or ch == "_":
+            elif ch in _NAME_START:
                 j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
+                while j < len(line) and line[j] in _NAME_CHARS:
                     j += 1
                 out.append(Token("NAME", line[i:j], ln, col))
                 i = j

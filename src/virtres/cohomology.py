@@ -315,26 +315,54 @@ def _factor_exponents(ni: int, qi: int, ci: int) -> list[tuple[int, ...]]:
     return [tuple(-1 - f for f in e) for e in _weak_compositions(total, ni + 1)]
 
 
+# A Čech basis exponent vector is one integer key: variable v holds e_v +
+# _LAURENT_OFFSET in bits [v W, (v + 1) W) with W = _LAURENT_BITS.  A twist
+# with every |c_i| < _LAURENT_OFFSET keeps each basis exponent, and each image
+# under a monomial of exponents <= EXP_MAX, inside its field, so adding a
+# monomial's shift never carries and two keys are equal exactly when their
+# exponent vectors are.
+_LAURENT_BITS = 32
+_LAURENT_OFFSET = 1 << 30
+
+
+def _laurent_key(exps: Sequence[int], start: int = 0, offset: int = 0) -> int:
+    """Packed key of ``exps`` (each plus ``offset``) from variable ``start``
+    on.  With offset 0 it is the shift that multiplies a key by the monomial
+    of exponents ``exps``."""
+    return sum((e + offset) << (_LAURENT_BITS * v) for v, e in enumerate(exps, start))
+
+
 @lru_cache(maxsize=None)
 def _cech_basis(
     n: tuple[int, ...], c: Multidegree
-) -> tuple[int, tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]] | None:
-    """(q, basis, index of each basis exponent) for the single nonzero
-    cohomology H^q(O(c)) when q > 0, or None.
+) -> tuple[int, tuple[int, ...], dict[int, int]] | None:
+    """(q, basis, index of each basis key) for the single nonzero
+    cohomology H^q(O(c)) when q > 0, or None.  The basis is a tuple of
+    packed Laurent keys (see _LAURENT_BITS), so a basis element times a
+    monomial is its key plus the monomial's _laurent_key.
 
     H^0 (c >= 0 componentwise) also gives None: sheaf_cohomology_exact counts
-    the row q = 0 in closed form and never enumerates its basis.  Memoised:
-    the value is shared, so the basis is a tuple and the index is only read.
+    the row q = 0 in closed form and never enumerates its basis.  A twist
+    outside the keys' range is refused with ValueError before its basis is
+    enumerated.  Memoised: the value is shared, so the basis is a tuple and
+    the index is only read.
     """
     pat = _pattern(n, c)
     if pat is None or not any(pat):
         return None
+    if max(map(abs, c)) >= _LAURENT_OFFSET:
+        raise ValueError(
+            f"twist {c} is outside the range of the Čech basis keys "
+            f"(|c_i| < 2^{_LAURENT_OFFSET.bit_length() - 1})"
+        )
+    starts = itertools.accumulate((ni + 1 for ni in n), initial=0)
     factors = [
-        _factor_exponents(ni, qi, ci) for ni, qi, ci in zip(n, pat, c)
+        [_laurent_key(e, start, _LAURENT_OFFSET) for e in _factor_exponents(ni, qi, ci)]
+        for ni, qi, ci, start in zip(n, pat, c, starts)
     ]
     if any(not f for f in factors):
         return None
-    basis = tuple(sum(combo, ()) for combo in itertools.product(*factors))
+    basis = tuple(map(sum, itertools.product(*factors)))
     return sum(pat), basis, {e: k for k, e in enumerate(basis)}
 
 
@@ -366,8 +394,11 @@ def sheaf_cohomology_exact(
     The row q = 0 is the degree-p strand of F, which is exact: E2(0,0) is
     HF(M, p), the strand's Euler characteristic, and E2(j,0) = 0 for j >= 1.
     Only the rows q > 0 are built, with explicit Laurent-monomial (Čech)
-    bases of H^q(O(c)) and the induced multiplication maps.  A FreeComplex
-    is refused with TypeError, since the closed form needs a resolution.
+    bases of H^q(O(c)) as packed integer keys, on which the induced
+    multiplication maps are integer shifts.  A twist p - a whose Čech basis
+    is needed and which lies outside the keys' range (some
+    |p_i - a_i| >= 2^30) is refused with ValueError.  A FreeComplex is
+    refused with TypeError, since the closed form needs a resolution.
     """
     M = _as_quotient(M)
     n = _dims(M.ring)
@@ -380,6 +411,7 @@ def sheaf_cohomology_exact(
     summand_data = [
         [_cech_basis(n, vsub(p, a)) for a in term.gen_degrees] for term in F.terms
     ]
+    shifts: dict[int, int] = {}  # packed monomial key -> its Laurent shift
     hf = _strand_euler_char(M, p)
     e2: dict[tuple[int, int], int] = {(0, 0): hf} if hf else {}
     qs = sorted({d[0] for row in summand_data for d in row if d})
@@ -416,18 +448,20 @@ def sheaf_cohomology_exact(
                     ddst = summand_data[j - 1][ti]
                     if ddst is None or ddst[0] != q:
                         continue
-                    mono = decode(term_mono(t))
-                    _, _, dst_index = ddst
-                    for bi, exps in enumerate(basis):
-                        # images leaving the Cech basis region (a top-degree
-                        # exponent reaching >= 0) are zero and simply miss
-                        # the target index
-                        new = tuple(e + m for e, m in zip(exps, mono))
-                        tgt = dst_index.get(new)
-                        if tgt is None:
-                            continue
-                        c = dst_off[ti] + tgt
-                        block[bi][c] = block[bi].get(c, 0) + coeff
+                    mono = term_mono(t)
+                    shift = shifts.get(mono)
+                    if shift is None:
+                        shift = shifts[mono] = _laurent_key(decode(mono))
+                    off = dst_off[ti]
+                    # an image leaving the Čech basis region (a top-degree
+                    # exponent reaching >= 0) is zero and misses the target
+                    # index; distinct monomials of one column send a basis
+                    # element to distinct targets, so each entry is set once
+                    get = ddst[2].get
+                    for row, key in zip(block, basis):
+                        tgt = get(key + shift)
+                        if tgt is not None:
+                            row[off + tgt] = coeff
                 rows += block
             ranks[j] = len(echelon_mod_p(rows, char))
         for j in range(nterms):

@@ -15,6 +15,7 @@ from .groebner import (
     GroebnerEngine,
     ModuleElement,
     _add_by_degree,
+    element_wdeg,
     syzygy_module,
     term_key,
     term_mono,
@@ -175,6 +176,11 @@ def _iterated_syzygies(
 
     Each level feeds its columns, with ``bound`` only those of degree
     <= bound (componentwise), into one tracking engine in degree order.
+    With ``bound`` the engine also stops at the weighted degree w.bound:
+    the weights are positive, so a syzygy above it is not <= bound and the
+    next level drops it anyway, and an element of higher degree never
+    reduces a lower one, so the kept columns and surviving syzygies, and
+    their order, are those of the uncapped run.
     The columns it keeps generate minimally and form the differential,
     whose source module is appended to ``terms``; its S-pair and Koszul
     syzygies, renumbered to the kept columns, are the next level's columns,
@@ -192,7 +198,7 @@ def _iterated_syzygies(
             return None if cols else maps
         engine = GroebnerEngine(terms[-1], track=True)
         kept = _add_by_degree(engine, cols)
-        engine.process()
+        engine.process(None if bound is None else element_wdeg(terms[-1], bound))
         G = FreeModule(ring, [cols[i]._degree() for i in kept])
         pos = {old: new for new, old in enumerate(kept)}
         maps.append([cols[i] for i in kept])

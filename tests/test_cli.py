@@ -95,8 +95,37 @@ def test_parse_error_carries_line_and_column():
     assert "col" in str(exc.value)
 
 
+# non-ASCII characters that str.isdigit or str.isalpha accept: a superscript
+# two, an Arabic-Indic one, a Latin e with acute accent
+NON_ASCII = ("²", "١", "é")
+
+
+@pytest.mark.parametrize(
+    "text,col",
+    [
+        ("ring P(1,1)\nideal I = x(1,0)^²", 18),
+        ("ring P(1,1)\nideal I = x(1,١)", 15),
+        ("ring P(1,1)\nideal I = é", 11),
+    ],
+    ids=["superscript", "arabic-indic", "accented"],
+)
+def test_non_ascii_digits_and_letters_are_refused(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_job(text)
+    assert "unexpected character" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
+@pytest.mark.parametrize("ch", NON_ASCII, ids=["superscript", "arabic-indic", "accented"])
+def test_non_ascii_character_exit_2(tmp_path, capsys, ch):
+    bad = tmp_path / "bad.vr"
+    bad.write_text(f"ring P(1,1)\nideal I = x(1,{ch})^{ch}\n", encoding="utf-8")
+    assert main(["res", "--ideal", str(bad)]) == 2
+    assert "unexpected character" in capsys.readouterr().err
+
+
 BUNDLED_VR = {path: open(path, encoding="utf-8").read() for path in (CURVE_VR, HIRZEBRUCH_VR)}
-VR_ALPHABET = sorted(set("".join(BUNDLED_VR.values())))
+VR_ALPHABET = sorted(set("".join(BUNDLED_VR.values())) | set(NON_ASCII))
 
 
 @given(st.data())

@@ -39,6 +39,7 @@ from virtres.groebner import GroebnerBasis, LeadIndex, term_key, term_mono, term
 from virtres.ring import echelon_mod_p
 
 R11 = RingSpec.product([1, 1], char=101)
+R112 = RingSpec.product([1, 1, 2], char=101)
 
 
 # -- line bundles --------------------------------------------------------------
@@ -241,6 +242,12 @@ ORACLE_BOXES = {
     "S/B^(1,1)": (lambda: QuotientModule.cyclic(irrelevant_power(R11, (1, 1))), (-3, -3), (3, 3)),
     "S/B^(2,1)": (lambda: QuotientModule.cyclic(irrelevant_power(R11, (2, 1))), (-3, -3), (3, 3)),
     "5 points": (_five_points_p1p1, (-3, -3), (4, 4)),
+    # three factors: rows q = 1 to 4, Čech keys over seven variables
+    "S/B^(1,0,1) on P1xP1xP2": (
+        lambda: QuotientModule.cyclic(irrelevant_power(R112, (1, 0, 1))),
+        (-3, -3, -4),
+        (1, 1, 1),
+    ),
 }
 
 
@@ -261,6 +268,27 @@ def test_closed_form_strand_row_matches_strand_ranks(name):
         if coh[0] is not None and coh[0] >= hilbert_function(M, p):
             dim, exact, _ = local_cohomology_dim_fast(M, 1, p, coh=coh)
             assert exact and dim == coh[0] - hilbert_function(M, p), p
+
+
+def test_twist_outside_the_cech_key_range_is_refused(monkeypatch):
+    # the refusal comes before any Čech basis is enumerated
+    M = QuotientModule.cyclic(curve_ideal())
+    enumerated = []
+    factor_exponents = cohomology._factor_exponents
+
+    def counting(*args):
+        enumerated.append(args)
+        return factor_exponents(*args)
+
+    monkeypatch.setattr(cohomology, "_factor_exponents", counting)
+    # every twist p - a with a cohomology row q > 0 is outside the range
+    for p in [(-(2**30), 0), (2, -(2**31)), (-(2**31), 2**31)]:
+        with pytest.raises(ValueError, match="outside the range"):
+            sheaf_cohomology_exact(M, p)
+    assert enumerated == []
+    # no Čech basis is needed when every p - a is >= 0 or lies strictly
+    # between -3 and 0 on P^2, so a twist beyond the range is answered
+    assert sheaf_cohomology_exact(M, (2**31, 8))[1] == 0
 
 
 def test_strand_row_needs_no_elimination(monkeypatch):

@@ -24,16 +24,19 @@ from virtres import (
     virtual_of_pair,
     winnow,
 )
+from virtres import complexes
 from virtres.fixtures import (
     CURVE_BETTI_TOTALS,
     CURVE_PAIR_21_TOTALS,
     CURVE_PAIR_21_TWISTS,
     CURVE_TWISTS,
+    SIX_POINTS_PAIR_TABLE,
     SURFACE_BETTI_TOTALS,
     SURFACE_TWISTS,
     TWO_PLANES_BETTI_TOTALS,
     TWO_PLANES_TWISTS,
     curve_ideal,
+    six_points_ideal,
     surface_ideal,
     two_planes_ideal,
 )
@@ -223,6 +226,52 @@ def test_one_engine_per_differential(make, monkeypatch):
     monkeypatch.setattr(GroebnerEngine, "__init__", counting_init)
     F = free_resolution(QuotientModule.cyclic(make()))
     assert len(built) == F.length
+
+
+def _maps(F):
+    return [t.gen_degrees for t in F.terms], [
+        [sorted(col.terms.items()) for col in cols] for cols in F.maps
+    ]
+
+
+# (module, degrees d) of the pairs whose capped maps are checked
+CAPPED_PAIRS = {
+    "curve": (curve_ideal, [(2, 1), (0, 0), (1, 3), (3, 0)]),
+    "surface": (surface_ideal, [(1, 1), (0, 2), (2, 0)]),
+    "six points": (six_points_ideal, sorted(SIX_POINTS_PAIR_TABLE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_PAIRS))
+def test_pair_weighted_cap_keeps_the_maps(name, monkeypatch):
+    # virtual_of_pair stops each level's engine at the weighted degree w.(d+n)
+    # of its bound; the maps must be those of the uncapped run
+    make, degrees = CAPPED_PAIRS[name]
+    I = make()
+    capped = {d: _maps(virtual_of_pair(QuotientModule.cyclic(I), d)) for d in degrees}
+    monkeypatch.setattr(complexes, "element_wdeg", lambda module, degree: None)
+    for d in degrees:
+        assert _maps(virtual_of_pair(QuotientModule.cyclic(I), d)) == capped[d], d
+
+
+def test_only_the_pair_construction_caps_its_engines(monkeypatch):
+    from virtres.groebner import GroebnerEngine
+
+    limits = []
+    process = GroebnerEngine.process
+
+    def spying_process(self, limit=None):
+        limits.append(limit)
+        process(self, limit)
+
+    monkeypatch.setattr(GroebnerEngine, "process", spying_process)
+    M = QuotientModule.cyclic(curve_ideal())
+    virtual_of_pair(M, (2, 1))
+    # the last call of each level's engine is the cap w.(d + n) = 3 + 3
+    assert limits and None not in limits and limits[-1] == 6
+    limits.clear()
+    free_resolution(M)
+    assert limits[-1] is None
 
 
 # -- Koszul and tensor --------------------------------------------------------
