@@ -336,11 +336,22 @@ class _Parser:
         return base
 
 
+def _ascii_int(text: str) -> int:
+    """An integer written as ASCII digits after an optional '-'.
+
+    int() alone would also read '1_0' as 10 and '١' as 1.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not digits or not _DIGITS.issuperset(digits):
+        raise ValueError(f"invalid literal for an integer: {text!r}")
+    return int(text)
+
+
 def _default_char() -> int:
     """$VIRTRES_CHAR, else 32003; a value that is no usable prime exits 2."""
     text = os.environ.get("VIRTRES_CHAR", str(DEFAULT_CHAR))
     try:
-        char = int(text)
+        char = _ascii_int(text)
         check_char(char)
     except ValueError as exc:
         raise SystemExit(f"virtres: VIRTRES_CHAR: {exc}") from None
@@ -394,7 +405,7 @@ def _vector(
     text: str, ring: RingSpec, flag: str, nonnegative: bool = False
 ) -> tuple[int, ...]:
     try:
-        vec = tuple(int(c) for c in text.split(","))
+        vec = tuple(_ascii_int(c) for c in text.split(","))
     except ValueError:
         raise SystemExit(f"virtres: {flag}: expected a comma-separated integer vector")
     if len(vec) != ring.rank_grading:
@@ -523,7 +534,7 @@ def cmd_points(args) -> int:
         raise SystemExit("virtres: --count: expected at least one point")
     char = _default_char()
     try:
-        ring = RingSpec.product([int(c) for c in args.space.split(",")], char=char)
+        ring = RingSpec.product([_ascii_int(c) for c in args.space.split(",")], char=char)
     except ValueError as exc:
         raise SystemExit(f"virtres: --space: {exc}") from None
     cfg = random_points(ring, args.count, seed=args.seed)
@@ -679,8 +690,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beilinson)
     p = sub.add_parser("points", help="seeded general points and their ideal")
     p.add_argument("--space", required=True, help="projective factors, e.g. 1,1,2")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_ascii_int, required=True)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--table", action="store_true", help="print the Betti table")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_points)

@@ -7,9 +7,20 @@ finds the g with g*f_i in A_i for every block (f_i, A_i) in a single syzygy
 computation.  ``quotient`` (A : J) calls it with blocks (f, A), one per form
 f of J, and ``intersect`` A ∩ B with blocks (1, A) and (1, B).  ``saturate``
 repeats the colon until the result stops growing, and ``b_saturate``
-saturates by each irrelevant prime in turn.  A containment A ⊆ (W : B^∞) is
-decided by ``_in_b_saturation``: a B-power certificate proves it, and only
-when none is found is W saturated.
+saturates by each irrelevant prime in turn.
+
+Before each colon, ``saturate`` tries to prove that A is already saturated
+by the Bayer–Stillman criterion (D. Bayer and M. Stillman, "A criterion for
+detecting m-regularity", Invent. Math. 87, 1987): for a homogeneous ideal A
+and a weighted grevlex order with x_j last, x_j is a nonzerodivisor on S/A
+exactly when x_j divides no lead of A's reduced Groebner basis.  A regular
+x_j among the generators of J proves (A : J^∞) = A with one Groebner basis
+and no colon.  The test applies to ideals (rank one) and to one generator
+of J that is a scalar multiple of a variable; everything else runs the
+colon loop alone.
+
+A containment A ⊆ (W : B^∞) is decided by ``_in_b_saturation``: a B-power
+certificate proves it, and only when none is found is W saturated.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from .groebner import (
     _minimal_generators,
     _syzygy_module,
     term_key,
+    term_mono,
     term_pos,
 )
 from .ring import (
@@ -259,18 +271,110 @@ def quotient(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> 
 # saturation and powers of B
 
 
+@functools.lru_cache(maxsize=64)
+def _ring_with_last(ring: RingSpec, j: int) -> RingSpec:
+    """``ring`` with variables j and n-1 swapped, so that its weighted
+    grevlex orders x_j last; built on first use and kept per (ring, j)."""
+    perm = list(range(ring.nvars))
+    perm[j], perm[-1] = perm[-1], j
+    return RingSpec(
+        [ring.var_degrees[k] for k in perm],
+        [[perm[k] for k in prime] for prime in ring.irrelevant_primes],
+        ring.char,
+        [ring.var_names[k] for k in perm],
+    )
+
+
+def _is_regular(A: Submodule, j: int) -> bool:
+    """Whether x_j is a nonzerodivisor on S/A, for a homogeneous ideal A.
+
+    Bayer–Stillman: under a weighted grevlex with x_j last, a homogeneous
+    f has x_j | lead(f) only when x_j | f, so (in(A) : x_j) = in(A : x_j),
+    and x_j is regular on S/A exactly when it divides no minimal generator
+    of in(A), that is no lead of the reduced basis.  The ring's own order
+    puts x_{n-1} last, so A.gb() serves j = n-1; any other j takes one
+    basis of A's generators re-encoded into the ring with x_j and x_{n-1}
+    swapped.
+    """
+    ring = A.ring
+    last = ring.nvars - 1
+    if j == last:
+        gb = A.gb()
+    else:
+        decode = ring.codec.decode
+        ring = _ring_with_last(ring, j)
+        encode = ring.codec.encode
+        F = free_rank_one(ring)
+
+        def swapped(t: int) -> int:
+            e = list(decode(term_mono(t)))
+            e[j], e[last] = e[last], e[j]
+            return term_key(encode(e), 0)
+
+        gens = [ModuleElement(F, {swapped(t): c for t, c in g.terms.items()}) for g in A.gens]
+        gb = _groebner_basis(gens, module=F)
+    divides = ring.codec.divides
+    (x,) = ring.variable(last).terms
+    return not any(divides(x, K) for K in gb.leads_at(0))
+
+
+def _proof_variable(ring: RingSpec, forms: Sequence[Polynomial]) -> int | None:
+    """The variable that ``saturate`` tests for regularity: the largest j
+    with some form a scalar multiple of x_j, or None when there is none.
+
+    So J's x_{n-1} is tested whenever J has it: its basis is A.gb(), which
+    the colon's containment test needs anyway.  One variable only: on an A
+    that is not yet saturated every variable of J is a zero divisor, so
+    each further test would cost a basis in another order and fail.  A
+    saturated A with a component inside x_j = 0 is left to the colon.
+    """
+    js = []
+    for f in forms:
+        if len(f.terms) == 1:
+            exps = ring.codec.decode(next(iter(f.terms)))
+            if sum(exps) == 1:
+                js.append(exps.index(1))
+    return max(js, default=None)
+
+
 def saturate(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> Submodule:
-    """The saturation (A : J^infinity): A <- (A : J) until it stops growing."""
+    """The saturation (A : J^infinity) of a homogeneous submodule A.
+
+    A <- (A : J) until it stops growing, that is until (A : J) ⊆ A, which
+    holds exactly when A is J-saturated.  Before each colon, when A is an
+    ideal and J has a variable x_j among its generators (the largest such
+    j, ``_proof_variable``), x_j is tested for being a nonzerodivisor on
+    S/A (``_is_regular``: the Bayer–Stillman criterion on the reduced basis
+    under weighted grevlex with x_j last; D. Bayer and M. Stillman, Invent.
+    Math. 87, 1987).  A regular x_j proves A saturated: g J^k ⊆ A gives
+    g x_j^k in A, so g lies in A.  The loop therefore visits the same A's
+    as the colon loop alone and stops at the same one.  Submodules of rank
+    two or more, and J with no variable among its generators, run the colon
+    loop alone.  The containment test reads the colon's raw generators;
+    only a colon that goes round again is minimalized.
+    """
+    forms = _colon_forms(A.ring, J)
+    F = A.module
+    j = _proof_variable(A.ring, forms) if F.rank == 1 else None
     while True:
-        nxt = quotient(A, J)
-        if A.contains_submodule(nxt):
+        if j is not None and _is_regular(A, j):
             return A
-        A = nxt
+        colon = _colon(F, [(f, A) for f in forms])
+        if A.contains_all(colon):
+            return A
+        A = Submodule(F, _minimal_generators(colon, module=F))
 
 
 def b_saturate(A: Submodule) -> Submodule:
     """Saturation (A : B^infinity) by the irrelevant ideal B = ∩_i P_i, one
-    prime at a time: (A : (P Q)^infinity) = ((A : P^infinity) : Q^infinity)."""
+    prime at a time: (A : (P Q)^infinity) = ((A : P^infinity) : Q^infinity).
+
+    Each step is ``saturate`` by the prime's variables, so an ideal A that
+    is already saturated is proved so, without a colon, when the prime's
+    variable of largest index is regular on S/A (Bayer–Stillman: homogeneous
+    A, reduced basis, weighted grevlex with that variable last).  Otherwise,
+    and for every module of rank two or more, the colon loop decides.
+    """
     ring = A.ring
     for prime in ring.irrelevant_primes:
         A = saturate(A, [ring.variable(j) for j in prime])

@@ -255,6 +255,8 @@ def test_bad_characteristic_exit_2(tmp_path, capsys, char):
         ("abc", ["res", "--ideal", CURVE_VR], "invalid literal"),
         ("32002", ["res", "--ideal", CURVE_VR], "32002 is not a prime"),
         ("32002", ["points", "--space", "1,1", "--count", "2"], "32002 is not a prime"),
+        ("32_003", ["res", "--ideal", CURVE_VR], "'32_003'"),
+        ("٣٢٠٠٣", ["res", "--ideal", CURVE_VR], "invalid literal"),
     ],
 )
 def test_bad_env_characteristic_exit_2(monkeypatch, capsys, value, argv, fragment):
@@ -274,11 +276,30 @@ def test_bad_env_characteristic_exit_2(monkeypatch, capsys, value, argv, fragmen
             ["reg-check", "--ideal", CURVE_VR, "--degree", "2,1", "--window", "3,3:0,0"],
             "empty window",
         ),
+        (["points", "--space", "1_0,1", "--count", "2"], "--space"),
+        # int() reads these as (10, 1), (1, 1), (2, 1) and (1, 0)
+        (["reg-check", "--ideal", CURVE_VR, "--degree", "1_0,1"], "--degree"),
+        (["reg-check", "--ideal", CURVE_VR, "--degree", "١,1"], "--degree"),
+        (["reg-check", "--ideal", CURVE_VR, "--degree", " 2,1"], "--degree"),
+        (["bsat-power", "--ideal", CURVE_VR, "--exponent", "+1,0"], "--exponent"),
+        (
+            ["reg-check", "--ideal", CURVE_VR, "--degree", "2,1", "--window", "0,0:3,--3"],
+            "--window",
+        ),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv, fragment):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--count", "٢"], ["--count", "2", "--seed", "1_0"]])
+def test_points_count_and_seed_take_ascii_digits_only(capsys, argv):
+    # argparse's own usage error: it raises SystemExit(2) itself
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "--space", "1,1", *argv])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

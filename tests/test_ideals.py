@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import virtres.ideals
 from virtres import (
     FreeModule,
     Polynomial,
@@ -21,6 +22,7 @@ from virtres import (
     intersect,
     irrelevant_power,
     is_b_torsion,
+    point_ideal,
     quotient,
     saturate,
     truncate,
@@ -30,6 +32,7 @@ from virtres.fixtures import (
     curve_ring,
     del_pezzo_ring,
     hirzebruch_ideal,
+    surface_ideal,
     two_planes_ideal,
 )
 
@@ -241,6 +244,161 @@ def test_colon_by_zero_empty_non_ideal_or_foreign_ideal_raises():
             quotient(I, J)
         with pytest.raises(ValueError):
             saturate(I, J)
+
+
+# -- saturation against a colon-only oracle ---------------------------------
+#
+# ``saturate`` proves an ideal saturated by a variable of J that is regular
+# on S/A (Bayer–Stillman) and runs the colon when it is not.  The oracle
+# below is the colon loop alone; it never calls ``saturate``, so it shares
+# no code with that proof, and the answers must agree generator for
+# generator.
+
+R12 = RingSpec.product([1, 2], char=101)
+
+
+def colon_saturate(A, J):
+    """Reference (A : J^∞): A <- (A : J) until (A : J) ⊆ A."""
+    while True:
+        nxt = quotient(A, J)
+        if A.contains_submodule(nxt):
+            return A
+        A = nxt
+
+
+def colon_b_saturate(A):
+    for prime in A.ring.irrelevant_primes:
+        A = colon_saturate(A, [A.ring.variable(j) for j in prime])
+    return A
+
+
+def gens_of(A):
+    return [g.terms for g in A.gens]
+
+
+def prime_power(ring, i, k):
+    """The monomials of P_i^k."""
+    a = [k if c == i else 0 for c in range(len(ring.irrelevant_primes))]
+    return [g.coordinate(0) for g in irrelevant_power(ring, a).gens]
+
+
+@st.composite
+def rank_one_ideals(draw, ring):
+    """A homogeneous ideal, alone or times a variable x_j or a prime power P_i^k."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any))
+        gens.append(draw(forms(ring, d)))
+    factor = draw(st.sampled_from(["none", "variable", "prime power"]))
+    if factor == "variable":
+        x = ring.variable(draw(st.integers(0, ring.nvars - 1)))
+        gens = [f * x for f in gens]
+    elif factor == "prime power":
+        P = prime_power(ring, draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+        gens = [f * m for f in gens for m in P]
+    return ideal(ring, gens)
+
+
+@st.composite
+def colon_ideals(draw, ring):
+    """An irrelevant prime's variables, one variable, or variables with a form."""
+    kind = draw(st.sampled_from(["prime", "variable", "variables and a form"]))
+    if kind == "prime":
+        return [ring.variable(j) for j in draw(st.sampled_from(ring.irrelevant_primes))]
+    if kind == "variable":
+        return ring.variable(draw(st.integers(0, ring.nvars - 1)))
+    js = draw(st.lists(st.integers(0, ring.nvars - 1), max_size=2, unique=True))
+    d = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)).filter(any))
+    return [ring.variable(j) for j in js] + [draw(forms(ring, d, max_terms=2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_saturate_matches_colon_oracle_on_ideals(data):
+    ring = data.draw(st.sampled_from([R11, R12]))
+    A = data.draw(rank_one_ideals(ring))
+    J = data.draw(colon_ideals(ring))
+    assert gens_of(saturate(A, J)) == gens_of(colon_saturate(A, J))
+    assert gens_of(b_saturate(A)) == gens_of(colon_b_saturate(A))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_saturate_matches_colon_oracle_on_rank_two_modules(data):
+    A = data.draw(submodules(rank=2))
+    J = data.draw(colon_ideals(R11))
+    assert gens_of(saturate(A, J)) == gens_of(colon_saturate(A, J))
+    assert gens_of(b_saturate(A)) == gens_of(colon_b_saturate(A))
+
+
+def coordinate_vectors(size):
+    # coordinates drawn from {0, 1, 2} put many points on coordinate
+    # hyperplanes, where the variable vanishing there is a zero divisor
+    return st.lists(st.integers(0, 2), min_size=size, max_size=size).filter(any)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_b_saturate_matches_colon_oracle_on_points_on_coordinate_hyperplanes(data):
+    points = data.draw(
+        st.lists(st.tuples(coordinate_vectors(2), coordinate_vectors(3)), min_size=1, max_size=3)
+    )
+    I = functools.reduce(intersect, [point_ideal(R12, pt) for pt in points])
+    i, k = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+    A = ideal(R12, [g.coordinate(0) * m for g in I.gens for m in prime_power(R12, i, k)])
+    S = b_saturate(A)
+    assert gens_of(S) == gens_of(colon_b_saturate(A))
+    assert same_ideal(S, I)
+
+
+@pytest.fixture
+def colon_calls(monkeypatch):
+    """The calls that ``saturate`` makes to ``ideals._colon``."""
+    calls = []
+    colon = virtres.ideals._colon
+
+    def spy(*args):
+        calls.append(args)
+        return colon(*args)
+
+    monkeypatch.setattr(virtres.ideals, "_colon", spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", [curve_ideal, surface_ideal, hirzebruch_ideal])
+def test_b_saturate_proves_saturated_ideals_without_a_colon(colon_calls, make):
+    I = make()
+    assert b_saturate(I) is I
+    assert colon_calls == []
+
+
+def test_b_saturate_reads_the_leads_of_the_reduced_basis(colon_calls):
+    # the curve with the redundant generators f*x for every variable x: each
+    # x divides the lead of a generator, yet no lead of the reduced basis
+    I = curve_ideal()
+    f = I.gens[0].coordinate(0)
+    A = ideal(I.ring, [g.coordinate(0) for g in I.gens] + [f * x for x in I.ring.variables()])
+    assert b_saturate(A) is A
+    assert colon_calls == []
+
+
+def test_b_saturate_runs_the_colon_when_no_variable_is_regular(colon_calls):
+    # curve * P_0: every variable of P_0 is a zero divisor until the colon
+    # has removed the factor
+    I = curve_ideal()
+    ring = I.ring
+    P0 = prime_power(ring, 0, 1)
+    A = ideal(ring, [g.coordinate(0) * x for g in I.gens for x in P0])
+    S = b_saturate(A)
+    assert colon_calls
+    assert same_ideal(S, I)
+    # one point on x(1,0) = 0 and one on x(1,1) = 0: both variables of P_0
+    # are zero divisors on a saturated ideal, so only the colon proves it
+    points = [((0, 1), (1, 1, 1)), ((1, 0), (1, 2, 1))]
+    I = intersect(point_ideal(R12, points[0]), point_ideal(R12, points[1]))
+    del colon_calls[:]
+    assert b_saturate(I) is I
+    assert len(colon_calls) == 1
 
 
 # -- B and its powers -------------------------------------------------------
