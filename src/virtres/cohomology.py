@@ -240,16 +240,15 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
     return dim_i - rank_out - rank_in
 
 
-def _check_t_max(t_max: int) -> None:
-    if t_max < 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
+# The largest exponent t of the Ext colimit that the regularity checks read.
+_T_MAX = 6
 
 
 def local_cohomology_dim(
     M: QuotientModule | Submodule,
     i: int,
     b: Sequence[int],
-    t_max: int = 6,
+    t_max: int = _T_MAX,
 ) -> tuple[int, bool]:
     """dim H^i_B(M)_b via the colimit of Ext^i(S/B^[t], M)_b over t.
 
@@ -257,7 +256,8 @@ def local_cohomology_dim(
     consecutive values of t agree; if t_max is reached first the last value
     is returned with the flag false.  t_max must be at least 1.
     """
-    _check_t_max(t_max)
+    if t_max < 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
     M = _as_quotient(M)
     ring = M.ring
     if not ring.is_product:
@@ -496,7 +496,6 @@ def local_cohomology_dim_fast(
     M: QuotientModule | Submodule,
     i: int,
     p: Sequence[int],
-    t_max: int = 6,
     coh: dict[int, int | None] | None = None,
 ) -> tuple[int, bool, bool]:
     """dim H^i_B(M)_p, exactly when the spectral sequence determines it.
@@ -507,8 +506,8 @@ def local_cohomology_dim_fast(
     of the degree-p strand of M's resolution.  Both are exact when
     ``sheaf_cohomology_exact(M, p)`` (or the given ``coh``, its value)
     determines the relevant diagonal; otherwise the Ext colimit heuristic
-    is used.  An ideal I is read as S/I; a FreeComplex is refused with
-    TypeError.
+    is used, up to t = ``_T_MAX``.  An ideal I is read as S/I; a
+    FreeComplex is refused with TypeError.
     """
     M = _as_quotient(M)
     if coh is None:
@@ -523,7 +522,7 @@ def local_cohomology_dim_fast(
             dim = h0 - _strand_euler_char(M, tuple(p))
             if dim >= 0:
                 return dim, True, True
-    val, stab = local_cohomology_dim(M, i, p, t_max=t_max)
+    val, stab = local_cohomology_dim(M, i, p)
     return val, False, stab
 
 
@@ -531,7 +530,6 @@ def regularity_check(
     M: QuotientModule | Submodule,
     d: Sequence[int],
     window: tuple[Sequence[int], Sequence[int]] | None = None,
-    t_max: int = 6,
     strict: bool = False,
 ) -> RegularityReport:
     """Test whether d is a regularity candidate for M, inside a window.
@@ -546,10 +544,9 @@ def regularity_check(
     refutes d for the chosen regions exactly; one from the Ext-colimit
     fallback rests on its stabilization heuristic, and the report does not
     yet say which is which.  An empty failure list means
-    "consistent-in-window" only.  t_max, the largest exponent of the
-    Ext-colimit fallback, must be at least 1.
+    "consistent-in-window" only.  The Ext-colimit fallback reads exponents
+    t up to ``_T_MAX``.
     """
-    _check_t_max(t_max)
     M = _as_quotient(M)
     ring = M.ring
     if not ring.is_product:
@@ -587,7 +584,7 @@ def regularity_check(
     for p in sorted(needed):
         coh = sheaf_cohomology_exact(M, p)
         for i in needed[p]:
-            dim, exact, stab = local_cohomology_dim_fast(M, i, p, t_max=t_max, coh=coh)
+            dim, exact, stab = local_cohomology_dim_fast(M, i, p, coh=coh)
             if not exact and not stab:
                 unstabilized.append((i, p))
             if dim:

@@ -11,6 +11,7 @@ import json
 from typing import Sequence
 
 from .groebner import (
+    POS_BITS,
     FreeModule,
     GroebnerEngine,
     ModuleElement,
@@ -27,7 +28,7 @@ from .ideals import (
     Subquotient,
     _in_b_saturation,
 )
-from .ring import Multidegree, Polynomial, RingSpec, vadd, vleq
+from .ring import Multidegree, Polynomial, RingSpec, axpy, vadd, vleq
 
 
 class FreeComplex:
@@ -209,21 +210,42 @@ def _iterated_syzygies(
         ]
 
 
+def _presentation(M: QuotientModule) -> tuple[FreeModule, list[ModuleElement]]:
+    """M's free module and relations with every unit entry cancelled.
+
+    The relations then lie in m·F, so a minimal set of them is the first
+    differential of a minimal resolution.  A constant monomial has the
+    smallest term key, so one ``min`` per relation finds a unit entry; a
+    presentation without one is returned as it is, the very same objects.
+    Otherwise the one-map complex F <- W goes through ``minimalize``.
+    """
+    F, W = M.free, M.relations.gens
+    one = M.ring.codec.one
+    if not any(term_mono(min(w.terms)) == one for w in W):
+        return F, W
+    G = FreeModule(M.ring, [w._degree() for w in W])
+    P = minimalize(FreeComplex([F, G], [W], validate=False))
+    return P.terms[0], P.maps[0] if P.maps else []
+
+
 def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     """Minimal free resolution, one tracked Buchberger run per differential
     (see ``_iterated_syzygies``; the maps are minimal, not canonical).
 
-    For a QuotientModule F/W the resolution starts at F; a Submodule input
-    is resolved as the module it generates: the same loop run from its
-    ambient module, with that first term cut off, so that F_0 is built on
-    its minimal generators.
+    For a QuotientModule F/W the resolution starts from its minimal
+    presentation (``_presentation``): the relations lie in m·F and each
+    level keeps a minimal set of columns, so every map is minimal as built.
+    A Submodule input is resolved as the module it generates: the same loop
+    run from its ambient module, with that first term cut off, so that F_0
+    is built on its minimal generators.
     """
     if isinstance(M, Submodule):
         terms, cols = [M.module], M.gens
     elif M._resolution is not None:
         return M._resolution
     else:
-        terms, cols = [M.free], M.relations.gens
+        F, cols = _presentation(M)
+        terms = [F]
     ring = terms[0].ring
     cut = isinstance(M, Submodule)
     maps = _iterated_syzygies(terms, cols, ring.nvars + 1 + cut)
@@ -232,87 +254,78 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     if cut:
         terms, maps = terms[1:] or [FreeModule(ring, [])], maps[1:]
     out = FreeComplex(terms, maps)
-    # iterated syzygies of minimal generators are minimal except when the
-    # presentation itself has unit entries (e.g. a relation hitting a free
-    # generator); trim those.  The grading is positive, so a unit entry is a
-    # term on the constant monomial.
-    one = ring.codec.one
-    if maps and any(term_mono(t) == one for col in maps[0] for t in col.terms):
-        out = minimalize(out)
     if not cut:
         M._resolution = out
     return out
 
 
 def minimalize(F: FreeComplex) -> FreeComplex:
-    """Cancel unit (constant) entries of the differentials."""
-    terms = [FreeModule(t.ring, t.gen_degrees) for t in F.terms]
-    maps = [[col.copy() for col in cols] for cols in F.maps]
+    """Cancel the unit (constant) entries of the differentials, in one pass.
+
+    A unit u at row r, column c of d_i splits off S(-a) <-u- S(-a): column
+    operations clear row r from the other columns of d_i, then column c of
+    d_i, row c of d_{i+1} and column r of d_{i-1} go.  Only d_i gains
+    entries, and a column gains a unit only when it had one at row r, so
+    the differentials are cleared in turn, each column in order, and no
+    level is visited twice.
+    """
     ring = F.ring
-    one_key = ring.codec.one
-
-    def drop_coordinate(cols: list[ModuleElement], module: FreeModule, r: int):
-        new_mod = FreeModule(ring, [d for j, d in enumerate(module.gen_degrees) if j != r])
-        out = []
-        for col in cols:
-            terms_ = {}
-            for t, c in col.terms.items():
-                pos = term_pos(t)
-                if pos == r:
-                    continue
-                terms_[term_key(term_mono(t), pos - (pos > r))] = c
-            out.append(ModuleElement(new_mod, terms_))
-        return new_mod, out
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(maps)):
-            cols = maps[i]
-            # find a constant (degree-zero monomial) entry
-            pivot = None
-            for cidx, col in enumerate(cols):
-                for t, c in col.terms.items():
-                    if term_mono(t) == one_key:
-                        pivot = (cidx, term_pos(t), c)
-                        break
-                if pivot:
-                    break
-            if not pivot:
+    p = ring.char
+    one = ring.codec.one
+    C0 = ring.codec.C0
+    maps = [[dict(col.terms) for col in cols] for cols in F.maps]
+    # dead[i]: the generators of F_i that were split off
+    dead: list[set[int]] = [set() for _ in F.terms]
+    for i, cols in enumerate(maps):
+        # cols are d_{i+1}; drop the rows that clearing d_i split off
+        for col in cols if dead[i] else ():
+            for t in [t for t in col if term_pos(t) in dead[i]]:
+                del col[t]
+        for c, piv in enumerate(cols):
+            t = min(piv, default=None)
+            if t is None or term_mono(t) != one:
                 continue
-            cidx, r, u = pivot
-            uinv = ring.inv(u)
-            pivot_col = cols[cidx]
-            # column operations: clear row r from the other columns entirely
-            new_cols = []
+            r = term_pos(t)
+            uinv = ring.inv(piv[t])
+            dead[i].add(r)
+            dead[i + 1].add(c)
             for j, col in enumerate(cols):
-                if j == cidx:
+                if j in dead[i + 1]:
                     continue
-                q = col.coordinate(r)
-                if q.terms:
-                    col = col - pivot_col.poly_mul(q.scale(uinv))
-                new_cols.append(col)
-            # deleting generator r of F_i and generator cidx of F_{i+1}
-            # splits off the trivial summand spanned by the pivot
-            src_mod, new_cols = drop_coordinate(new_cols, terms[i], r)
-            terms[i] = src_mod
-            maps[i] = new_cols
-            # delete coordinate cidx from the next differential's columns
-            nxt = maps[i + 1] if i + 1 < len(maps) else []
-            terms[i + 1], nxt = drop_coordinate(nxt, terms[i + 1], cidx)
-            if i + 1 < len(maps):
-                maps[i + 1] = nxt
-            # delete column r from the previous differential
-            if i >= 1:
-                maps[i - 1] = [c for j, c in enumerate(maps[i - 1]) if j != r]
-                maps[i - 1] = [ModuleElement(terms[i - 1], c.terms) for c in maps[i - 1]]
-            changed = True
-            break
-    # drop trailing zero terms
-    while len(terms) > 1 and terms[-1].rank == 0:
-        terms.pop()
-        maps.pop()
-    return FreeComplex(terms, maps, validate=False)
+                for tk, a in [(tk, a) for tk, a in col.items() if term_pos(tk) == r]:
+                    axpy(col, -a * uinv, piv, (term_mono(tk) - C0) << POS_BITS, p)
+    keep = [[j for j in range(t.rank) if j not in gone] for t, gone in zip(F.terms, dead)]
+    return _keep_summands(F.terms, maps, keep)
+
+
+def _keep_summands(
+    terms: list[FreeModule], maps: list[list[dict[int, int]]], keep: list[list[int]]
+) -> FreeComplex:
+    """The complex on the generators ``keep[i]`` of each term F_i, renumbered
+    in order, without its trailing zero terms.  Every kept column must map
+    into the kept summands."""
+    ring = terms[0].ring
+    new_terms = [FreeModule(ring, [t.gen_degrees[j] for j in js]) for t, js in zip(terms, keep)]
+    new_maps: list[list[ModuleElement]] = []
+    for i, cols in enumerate(maps):
+        dst_index = {old: new for new, old in enumerate(keep[i])}
+        out_cols = []
+        for j in keep[i + 1]:
+            terms_ = {}
+            for t, c in cols[j].items():
+                pos = dst_index.get(term_pos(t))
+                if pos is None:
+                    raise ValueError(
+                        "kept columns map outside the kept summands; "
+                        "input complex is not a free resolution in the expected range"
+                    )
+                terms_[term_key(term_mono(t), pos)] = c
+            out_cols.append(ModuleElement(new_terms[i], terms_))
+        new_maps.append(out_cols)
+    while len(new_terms) > 1 and new_terms[-1].rank == 0:
+        new_terms.pop()
+        new_maps.pop()
+    return FreeComplex(new_terms, new_maps, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +336,12 @@ def is_virtual(
     F: FreeComplex, target: Submodule | QuotientModule
 ) -> tuple[bool, dict]:
     """Check that F is a virtual resolution of the (B-saturated) target W.
+
+    The target is a QuotientModule, or a submodule W read as F/W.  When
+    its free module is not F_0 it is read through the minimal presentation
+    that the builders start from, so ``is_virtual(free_resolution(M), M)``
+    holds for every M; a target that matches F_0 neither way is refused
+    with ValueError.
 
     Conditions: coker d_1 agrees with the target up to B-saturation, that is
     im d_1 ⊆ (W : B^∞) and W ⊆ (im d_1 : B^∞), and every higher homology
@@ -342,13 +361,16 @@ def is_virtual(
     failed condition.
     """
     if isinstance(target, Submodule):
-        W = target
-    else:
-        W = target.relations
-        if target.free != F.terms[0]:
-            return False, {"reason": "ambient free module mismatch"}
-    if W.module != F.terms[0]:
-        return False, {"reason": "ambient free module mismatch"}
+        target = QuotientModule(target.module, target)
+    W = target.relations
+    if target.free != F.terms[0]:
+        free, gens = _presentation(target)
+        if free != F.terms[0]:
+            raise ValueError(
+                f"F_0 of rank {F.terms[0].rank} is neither the target's free module, of rank "
+                f"{target.free.rank}, nor its minimal presentation's, of rank {free.rank}"
+            )
+        W = Submodule(free, gens)
     report: dict = {"h0": None, "torsion": {}, "h0_paths": {}, "torsion_paths": {}}
     im1 = Submodule(F.terms[0], list(F.maps[0])) if F.maps else Submodule(F.terms[0], [])
     for name, A, C in (("image", im1, W), ("target", W, im1)):
@@ -371,39 +393,9 @@ def winnow(F: FreeComplex, d: Sequence[int]) -> FreeComplex:
     ring = F.ring
     if not ring.is_product:
         raise NotImplementedError("winnowing requires a product of projective spaces")
-    d = tuple(d)
-    bound = vadd(d, ring.dimension_vector)
-    keep: list[list[int]] = []
-    new_terms: list[FreeModule] = []
-    for term in F.terms:
-        idx = [j for j, a in enumerate(term.gen_degrees) if vleq(a, bound)]
-        keep.append(idx)
-        new_terms.append(FreeModule(ring, [term.gen_degrees[j] for j in idx]))
-    new_maps: list[list[ModuleElement]] = []
-    for i, cols in enumerate(F.maps):
-        src_keep = keep[i + 1]
-        dst_keep = keep[i]
-        dst_index = {old: new for new, old in enumerate(dst_keep)}
-        out_cols = []
-        for j in src_keep:
-            col = cols[j]
-            terms_ = {}
-            for t, c in col.terms.items():
-                pos = term_pos(t)
-                if pos not in dst_index:
-                    raise ValueError(
-                        "winnowed columns map outside the kept summands; "
-                        "input complex is not a free resolution in the expected range"
-                    )
-                terms_[term_key(term_mono(t), dst_index[pos])] = c
-            out_cols.append(ModuleElement(new_terms[i], terms_))
-        new_maps.append(out_cols)
-    out = FreeComplex(new_terms, new_maps, validate=False)
-    # drop trailing zero terms
-    while out.length >= 1 and out.terms[-1].rank == 0:
-        out.terms.pop()
-        out.maps.pop()
-    return out
+    bound = vadd(tuple(d), ring.dimension_vector)
+    keep = [[j for j, a in enumerate(t.gen_degrees) if vleq(a, bound)] for t in F.terms]
+    return _keep_summands(F.terms, [[col.terms for col in cols] for cols in F.maps], keep)
 
 
 def virtual_of_pair(
@@ -413,13 +405,14 @@ def virtual_of_pair(
 ) -> FreeComplex:
     """Virtual resolution of the pair (M, d): iterated bounded syzygies.
 
-    At every level only the kernel generators of degree at most d + n
-    (componentwise) enter that level's one tracked Buchberger run, which
-    keeps a minimal subset of them as the differential (see
-    ``_iterated_syzygies``; the maps are minimal, not canonical).  The
-    result is Betti-table-equal to winnowing the minimal free resolution.
-    With ``check`` the result is verified with is_virtual (expensive for
-    large inputs).
+    It starts, as ``free_resolution`` does, from M's minimal presentation
+    (``_presentation``).  At every level only the kernel generators of
+    degree at most d + n (componentwise) enter that level's one tracked
+    Buchberger run, which keeps a minimal subset of them as the
+    differential (see ``_iterated_syzygies``; the maps are minimal, not
+    canonical).  So on every presentation the result is Betti-table-equal
+    to winnowing the minimal free resolution.  With ``check`` the result is
+    verified with is_virtual (expensive for large inputs).
     """
     if isinstance(M, Submodule):
         M = QuotientModule.cyclic(M)
@@ -428,8 +421,9 @@ def virtual_of_pair(
         raise NotImplementedError("virtual resolutions of a pair require a product ring")
     d = tuple(d)
     bound = vadd(d, ring.dimension_vector)
-    terms = [M.free]
-    maps = _iterated_syzygies(terms, M.relations.gens, ring.nvars + 2, bound)
+    F, cols = _presentation(M)
+    terms = [F]
+    maps = _iterated_syzygies(terms, cols, ring.nvars + 2, bound)
     if maps is None:
         raise RuntimeError(
             "virtual resolution of the pair did not terminate; "

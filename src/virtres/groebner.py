@@ -110,9 +110,6 @@ class ModuleElement:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def copy(self) -> "ModuleElement":
-        return ModuleElement(self.module, dict(self.terms))
-
     def coordinate(self, pos: int) -> Polynomial:
         ring = self.ring
         return Polynomial(

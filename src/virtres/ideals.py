@@ -32,7 +32,9 @@ from typing import Iterable, Sequence
 from .groebner import (
     FreeModule,
     GroebnerBasis,
+    GroebnerEngine,
     ModuleElement,
+    _add_by_degree,
     _groebner_basis,
     _minimal_generators,
     _syzygy_module,
@@ -292,14 +294,15 @@ def _is_regular(A: Submodule, j: int) -> bool:
     f has x_j | lead(f) only when x_j | f, so (in(A) : x_j) = in(A : x_j),
     and x_j is regular on S/A exactly when it divides no minimal generator
     of in(A), that is no lead of the reduced basis.  The ring's own order
-    puts x_{n-1} last, so A.gb() serves j = n-1; any other j takes one
-    basis of A's generators re-encoded into the ring with x_j and x_{n-1}
-    swapped.
+    puts x_{n-1} last, so A.gb() serves j = n-1, and stays on A for later
+    membership tests.  Any other j runs one engine on A's generators
+    re-encoded into the ring with x_j and x_{n-1} swapped, and reads the
+    minimal leads of its basis, with no tail reduction.
     """
     ring = A.ring
     last = ring.nvars - 1
     if j == last:
-        gb = A.gb()
+        leads = A.gb().leads_at(0)
     else:
         decode = ring.codec.decode
         ring = _ring_with_last(ring, j)
@@ -312,10 +315,13 @@ def _is_regular(A: Submodule, j: int) -> bool:
             return term_key(encode(e), 0)
 
         gens = [ModuleElement(F, {swapped(t): c for t, c in g.terms.items()}) for g in A.gens]
-        gb = _groebner_basis(gens, module=F)
+        engine = GroebnerEngine(F)
+        _add_by_degree(engine, gens)
+        engine.process()
+        leads = _monomial_minimalize(ring.codec, engine.index.lead_K)
     divides = ring.codec.divides
     (x,) = ring.variable(last).terms
-    return not any(divides(x, K) for K in gb.leads_at(0))
+    return not any(divides(x, K) for K in leads)
 
 
 def _proof_variable(ring: RingSpec, forms: Sequence[Polynomial]) -> int | None:

@@ -207,13 +207,15 @@ def point_ideal(ring: RingSpec, coords) -> Submodule:
     return _evaluation_ideal(ring, [flat])
 
 
-def _evaluation_ideal(
-    ring: RingSpec, flats: list[tuple[int, ...]], max_exp_total: int = 3
-) -> Submodule:
+# The largest total exponent of the monomials that ``_evaluation_ideal`` uses.
+_EVAL_EXP_TOTAL = 3
+
+
+def _evaluation_ideal(ring: RingSpec, flats: list[tuple[int, ...]]) -> Submodule:
     """Forms of bounded monomial support vanishing at the points, saturated."""
     by_degree: dict[Multidegree, list[int]] = {}
-    for exps in itertools.product(range(max_exp_total + 1), repeat=ring.nvars):
-        if sum(exps) > max_exp_total or sum(exps) == 0:
+    for exps in itertools.product(range(_EVAL_EXP_TOTAL + 1), repeat=ring.nvars):
+        if sum(exps) > _EVAL_EXP_TOTAL or sum(exps) == 0:
             continue
         d = tuple(
             sum(e * dg[i] for e, dg in zip(exps, ring.var_degrees))

@@ -174,6 +174,16 @@ def test_virtual_of_pair_and_is_virtual(capsys):
     assert main(["is-virtual", "--ideal", CURVE_VR, "--degree", "2,1"]) == 0
 
 
+def test_unit_ideal_commands(tmp_path, capsys):
+    unit = tmp_path / "unit.vr"
+    unit.write_text("ring P(1,1) char 101\nideal I = 1\n")
+    for argv in (["res"], ["winnow", "--degree", "1,1"], ["virtual-of-pair", "--degree", "1,1"]):
+        assert main(argv + ["--ideal", str(unit)]) == 0
+        assert "totals: (0,)" in capsys.readouterr().out
+    assert main(["is-virtual", "--ideal", str(unit), "--degree", "1,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["virtual"] is True
+
+
 def test_reg_check_exit_codes(capsys):
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "2,1"]) == 0
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0"]) == 1

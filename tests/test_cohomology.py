@@ -389,8 +389,6 @@ def test_t_max_below_one_is_rejected():
     # which read as zero: a refutable window came back consistent
     M = QuotientModule.cyclic(curve_ideal())
     with pytest.raises(ValueError, match="t_max"):
-        regularity_check(M, (0, 0), window=((0, 0), (0, 5)), t_max=0)
-    with pytest.raises(ValueError, match="t_max"):
         local_cohomology_dim(M, 1, (0, 0), t_max=0)
 
 

@@ -1,10 +1,12 @@
 """Free complexes, resolutions, Betti tables, winnowing, virtuality."""
 
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virtres import (
     BettiTable,
@@ -30,16 +32,20 @@ from virtres.fixtures import (
     CURVE_PAIR_21_TOTALS,
     CURVE_PAIR_21_TWISTS,
     CURVE_TWISTS,
+    DEL_PEZZO_POINTS,
     SIX_POINTS_PAIR_TABLE,
     SURFACE_BETTI_TOTALS,
     SURFACE_TWISTS,
     TWO_PLANES_BETTI_TOTALS,
     TWO_PLANES_TWISTS,
     curve_ideal,
+    del_pezzo_ring,
+    hirzebruch_ideal,
     six_points_ideal,
     surface_ideal,
     two_planes_ideal,
 )
+from virtres.punctual import PointConfig, points_ideal
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=101)
@@ -191,12 +197,138 @@ def test_presentation_with_unit_entry_is_minimalized():
     F = FreeModule(R11, [(0, 0), (1, 0)])
     e0, e1 = F.basis_element(0), F.basis_element(1)
     W = Submodule(F, [e1 - e0.poly_mul(x0), e1.poly_mul(x1), e0.poly_mul(y0)])
-    R = free_resolution(QuotientModule(F, W))
+    M = QuotientModule(F, W)
+    R = free_resolution(M)
     assert_complex_and_exact(R)
     assert_minimal(R)
     assert twist_dict(BettiTable.from_complex(R)) == {
         0: {(0, 0): 1}, 1: {(2, 0): 1, (0, 1): 1}, 2: {(2, 1): 1}
     }
+    # the pair construction starts from the same minimal presentation
+    for d in [(1, 0), (5, 5)]:
+        V = virtual_of_pair(M, d)
+        assert V.betti().totals == winnow(R, d).betti().totals == [1, 2, 1]
+        assert_minimal(V)
+    assert virtual_of_pair(M, (0, 0)).betti().totals == [1, 1]
+    # the target is read through the same presentation
+    assert is_virtual(R, M)[0]
+
+
+def unit_entry_presentations():
+    """Presentations on P^1 x P^1 of rank 2 or 3 whose first relation has a
+    unit entry, followed by random homogeneous relations."""
+
+    def form(rng, degree):
+        if min(degree) < 0:
+            return Polynomial(R11, {})
+        keys = R11.monomials_of_degree(degree)
+        take = rng.sample(keys, min(rng.randrange(1, 3), len(keys)))
+        return Polynomial(R11, {k: rng.randrange(1, 101) for k in take})
+
+    def build(rank, seed):
+        rng = random.Random(seed)
+        F = FreeModule(R11, [(rng.randrange(2), rng.randrange(2)) for _ in range(rank)])
+        k = rng.randrange(rank)
+        top = F.gen_degrees[k]
+        coords = [form(rng, tuple(a - b for a, b in zip(top, g))) for g in F.gen_degrees]
+        coords[k] = R11.one().scale(rng.randrange(1, 101))
+        rels = [F.element_from_coords(coords)]
+        for _ in range(rng.randrange(1, 4)):
+            D = (rng.randrange(1, 4), rng.randrange(1, 4))
+            coords = [form(rng, tuple(a - b for a, b in zip(D, g))) for g in F.gen_degrees]
+            rels.append(F.element_from_coords(coords))
+        return QuotientModule(F, Submodule(F, rels))
+
+    return st.builds(build, st.integers(2, 3), st.integers(0, 10**6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(M=unit_entry_presentations())
+def test_unit_entry_presentations_resolve_minimally(M):
+    R = free_resolution(M)
+    assert_complex_and_exact(R)
+    assert_minimal(R)
+    assert is_virtual(R, M)[0]
+    # minimalize of the resolution built on the raw presentation agrees
+    terms = [M.free]
+    raw = complexes._iterated_syzygies(terms, M.relations.gens, R11.nvars + 1)
+    T = complexes.minimalize(complexes.FreeComplex(terms, raw))
+    assert BettiTable.from_complex(T) == BettiTable.from_complex(R)
+    assert_complex_and_exact(T)
+    assert_minimal(T)
+    for d in itertools.product(range(4), repeat=2):
+        V = virtual_of_pair(M, d)
+        assert BettiTable.from_complex(V) == BettiTable.from_complex(winnow(R, d)), d
+        assert_complex_and_exact(V, check_exact=False)
+        assert_minimal(V)
+
+
+def test_unit_ideal_resolves_to_the_zero_complex():
+    U = ideal(R11, [R11.one()])
+    M = QuotientModule.cyclic(U)
+    for F in [free_resolution(M), virtual_of_pair(M, (1, 1))]:
+        assert F.length == 0 and F.betti().totals == [0]
+        assert is_virtual(F, U)[0]
+
+
+def test_unrelated_target_is_refused():
+    R = free_resolution(QuotientModule.cyclic(ideal(R11, [R11.x(1, 0)])))
+    F2 = FreeModule(R11, [(0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="rank 1.*rank 2.*rank 2"):
+        is_virtual(R, Submodule(F2, [F2.basis_element(0).poly_mul(R11.x(2, 0))]))
+
+
+def unit_complex(ring):
+    """S <-1- S, the complex whose tensor with F is the cone of id_F."""
+    S = FreeModule(ring, [(0,) * ring.rank_grading])
+    return complexes.FreeComplex([S, S], [[S.wrap(ring.one())]])
+
+
+@pytest.mark.parametrize("name", ["curve", "surface", "koszul"])
+def test_minimalize_cancels_a_cone_to_zero(name):
+    if name == "koszul":
+        F = koszul_pair_complex(R11.x(1, 0) * R11.x(2, 0), R11.x(1, 1) ** 2)
+    else:
+        make = {"curve": curve_ideal, "surface": surface_ideal}[name]
+        F = free_resolution(QuotientModule.cyclic(make()))
+    cone = tensor_complex(F, unit_complex(F.ring))
+    Z = complexes.minimalize(cone)
+    assert Z.length == 0 and Z.betti().totals == [0]
+    # a complex that is already minimal comes back unchanged
+    G = complexes.minimalize(F)
+    assert G.terms == F.terms and _maps(G) == _maps(F)
+
+
+def _digest(h, F):
+    h.update(repr(F.betti().to_json_dict()).encode())
+    for cols in F.maps:
+        for col in cols:
+            h.update(repr(sorted(col.terms.items())).encode())
+
+
+# SHA-256 over the Betti tables and maps (sorted term items) of the bundled
+# resolutions and pairs.  No bundled presentation has a unit entry, so the
+# builders use it as it is, and these maps must not depend on how a
+# presentation with one is minimalized
+BUNDLED_ANSWERS_SHA256 = "63ab848fa99f27f31f81054adc9aa12786c2bc965f8d48285b773971d98d019c"
+
+
+def test_bundled_maps_and_betti_tables_are_pinned():
+    ring = del_pezzo_ring()
+    del_pezzo = points_ideal(PointConfig(ring, [(pt,) for pt in DEL_PEZZO_POINTS]))
+    curve = QuotientModule.cyclic(curve_ideal())
+    six = QuotientModule.cyclic(six_points_ideal())
+    complexes_ = [
+        free_resolution(QuotientModule.cyclic(I))
+        for I in [curve_ideal(), surface_ideal(), hirzebruch_ideal(), del_pezzo]
+    ]
+    complexes_.append(virtual_of_pair(curve, (2, 1)))
+    complexes_.append(free_resolution(six))
+    complexes_ += [virtual_of_pair(six, d) for d in SIX_POINTS_PAIR_TABLE]
+    h = hashlib.sha256()
+    for F in complexes_:
+        _digest(h, F)
+    assert h.hexdigest() == BUNDLED_ANSWERS_SHA256
 
 
 def test_submodule_resolution_is_the_quotient_one_shifted():
