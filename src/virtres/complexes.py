@@ -69,10 +69,6 @@ class FreeComplex:
     def length(self) -> int:
         return len(self.terms) - 1
 
-    def differential(self, i: int) -> list[ModuleElement]:
-        """Columns of d_i : F_i -> F_{i-1} (i between 1 and length)."""
-        return self.maps[i - 1]
-
     def betti(self) -> "BettiTable":
         return BettiTable.from_complex(self)
 
@@ -210,22 +206,20 @@ def _iterated_syzygies(
         ]
 
 
-def _presentation(M: QuotientModule) -> tuple[FreeModule, list[ModuleElement]]:
-    """M's free module and relations with every unit entry cancelled.
-
-    The relations then lie in m·F, so a minimal set of them is the first
-    differential of a minimal resolution.  A constant monomial has the
-    smallest term key, so one ``min`` per relation finds a unit entry; a
-    presentation without one is returned as it is, the very same objects.
-    Otherwise the one-map complex F <- W goes through ``minimalize``.
-    """
-    F, W = M.free, M.relations.gens
-    one = M.ring.codec.one
-    if not any(term_mono(min(w.terms)) == one for w in W):
-        return F, W
-    G = FreeModule(M.ring, [w._degree() for w in W])
-    P = minimalize(FreeComplex([F, G], [W], validate=False))
-    return P.terms[0], P.maps[0] if P.maps else []
+def _presentation(F: FreeModule, gens: list) -> tuple[FreeModule, list[ModuleElement]]:
+    """F and the relations ``gens`` with their unit entries cancelled (see
+    ``_cancel_units``) and the relations left zero dropped, so that a minimal
+    set of them, in m·F, is the first differential of a minimal resolution.
+    Without a unit entry F and ``gens`` are returned as they are."""
+    cut = _cancel_units(F.ring, [[w.terms for w in gens]])
+    if cut is None:
+        return F, gens
+    (cols,), dead = cut
+    pos = {old: new for new, old in enumerate(j for j in range(F.rank) if j not in dead[0])}
+    P = FreeModule(F.ring, [F.gen_degrees[j] for j in pos])
+    cols = [c for j, c in enumerate(cols) if c and j not in dead[1]]
+    cols = [{term_key(term_mono(t), pos[term_pos(t)]): a for t, a in c.items()} for c in cols]
+    return P, [ModuleElement(P, c) for c in cols]
 
 
 def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
@@ -244,7 +238,7 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
     elif M._resolution is not None:
         return M._resolution
     else:
-        F, cols = _presentation(M)
+        F, cols = _presentation(M.free, M.relations.gens)
         terms = [F]
     ring = terms[0].ring
     cut = isinstance(M, Submodule)
@@ -260,22 +254,36 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
 
 
 def minimalize(F: FreeComplex) -> FreeComplex:
-    """Cancel the unit (constant) entries of the differentials, in one pass.
+    """Cancel the unit (constant) entries of the differentials, in one pass
+    (see ``_cancel_units``); a complex without one is returned as it is."""
+    cut = _cancel_units(F.ring, [[col.terms for col in cols] for cols in F.maps])
+    if cut is None:
+        return F
+    maps, dead = cut
+    keep = [[j for j in range(t.rank) if j not in gone] for t, gone in zip(F.terms, dead)]
+    return _keep_summands(F.terms, maps, keep)
+
+
+def _cancel_units(ring: RingSpec, maps: list[list[dict]]) -> tuple[list, list[set[int]]] | None:
+    """Copies of the differentials ``maps`` (term dicts) with their unit
+    entries cancelled, and for each term F_i the generators split off; None
+    when no column has a unit entry.
 
     A unit u at row r, column c of d_i splits off S(-a) <-u- S(-a): column
     operations clear row r from the other columns of d_i, then column c of
     d_i, row c of d_{i+1} and column r of d_{i-1} go.  Only d_i gains
     entries, and a column gains a unit only when it had one at row r, so
     the differentials are cleared in turn, each column in order, and no
-    level is visited twice.
+    level is visited twice.  A constant monomial has the smallest term key,
+    so one ``min`` per column finds a unit entry.
     """
-    ring = F.ring
     p = ring.char
     one = ring.codec.one
     C0 = ring.codec.C0
-    maps = [[dict(col.terms) for col in cols] for cols in F.maps]
-    # dead[i]: the generators of F_i that were split off
-    dead: list[set[int]] = [set() for _ in F.terms]
+    if not any(col and term_mono(min(col)) == one for cols in maps for col in cols):
+        return None
+    maps = [[dict(col) for col in cols] for cols in maps]
+    dead: list[set[int]] = [set() for _ in range(len(maps) + 1)]
     for i, cols in enumerate(maps):
         # cols are d_{i+1}; drop the rows that clearing d_i split off
         for col in cols if dead[i] else ():
@@ -294,8 +302,7 @@ def minimalize(F: FreeComplex) -> FreeComplex:
                     continue
                 for tk, a in [(tk, a) for tk, a in col.items() if term_pos(tk) == r]:
                     axpy(col, -a * uinv, piv, (term_mono(tk) - C0) << POS_BITS, p)
-    keep = [[j for j in range(t.rank) if j not in gone] for t, gone in zip(F.terms, dead)]
-    return _keep_summands(F.terms, maps, keep)
+    return maps, dead
 
 
 def _keep_summands(
@@ -340,8 +347,9 @@ def is_virtual(
     The target is a QuotientModule, or a submodule W read as F/W.  When
     its free module is not F_0 it is read through the minimal presentation
     that the builders start from, so ``is_virtual(free_resolution(M), M)``
-    holds for every M; a target that matches F_0 neither way is refused
-    with ValueError.
+    holds for every M.  A zero F_0 is read as the identity on that module,
+    so it is virtual only for a B-torsion target; any other F_0 that
+    matches the target neither way is refused with ValueError.
 
     Conditions: coker d_1 agrees with the target up to B-saturation, that is
     im d_1 ⊆ (W : B^∞) and W ⊆ (im d_1 : B^∞), and every higher homology
@@ -360,19 +368,21 @@ def is_virtual(
     "torsion_paths" maps each i to the same.  Checking stops at the first
     failed condition.
     """
-    if isinstance(target, Submodule):
-        target = QuotientModule(target.module, target)
-    W = target.relations
-    if target.free != F.terms[0]:
-        free, gens = _presentation(target)
-        if free != F.terms[0]:
+    W = target if isinstance(target, Submodule) else target.relations
+    F0 = F.terms[0]
+    if W.module != F0:
+        free, gens = _presentation(W.module, W.gens)
+        if free != F0 and F0.rank:
             raise ValueError(
-                f"F_0 of rank {F.terms[0].rank} is neither the target's free module, of rank "
-                f"{target.free.rank}, nor its minimal presentation's, of rank {free.rank}"
+                f"F_0 of rank {F0.rank} is neither the target's free module, of rank "
+                f"{W.module.rank}, nor its minimal presentation's, of rank {free.rank}"
             )
         W = Submodule(free, gens)
     report: dict = {"h0": None, "torsion": {}, "h0_paths": {}, "torsion_paths": {}}
-    im1 = Submodule(F.terms[0], list(F.maps[0])) if F.maps else Submodule(F.terms[0], [])
+    if F0.rank:
+        im1 = Submodule(F0, list(F.maps[0]) if F.maps else [])
+    else:  # H_0 = 0
+        im1 = Submodule(W.module, [W.module.basis_element(j) for j in range(W.module.rank)])
     for name, A, C in (("image", im1, W), ("target", W, im1)):
         ok, report["h0_paths"][name] = _in_b_saturation(A, C)
         if not ok:
@@ -421,7 +431,7 @@ def virtual_of_pair(
         raise NotImplementedError("virtual resolutions of a pair require a product ring")
     d = tuple(d)
     bound = vadd(d, ring.dimension_vector)
-    F, cols = _presentation(M)
+    F, cols = _presentation(M.free, M.relations.gens)
     terms = [F]
     maps = _iterated_syzygies(terms, cols, ring.nvars + 2, bound)
     if maps is None:

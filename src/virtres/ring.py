@@ -73,10 +73,6 @@ def vleq(a: Multidegree, b: Multidegree) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def vscale(c: int, a: Multidegree) -> Multidegree:
-    return tuple(c * x for x in a)
-
-
 # ---------------------------------------------------------------------------
 # packed monomial codec
 
@@ -380,7 +376,7 @@ class RingSpec:
             e = 0
             while w * e <= wrem:
                 exps[j] = e
-                rec(j + 1, vsub(rem, vscale(e, self.var_degrees[j])), wrem - w * e)
+                rec(j + 1, vsub(rem, tuple(e * x for x in self.var_degrees[j])), wrem - w * e)
                 e += 1
             exps[j] = 0
 
@@ -491,9 +487,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.ring, dict(self.terms))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         d = dict(self.terms)

@@ -184,6 +184,12 @@ def test_unit_ideal_commands(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["virtual"] is True
 
 
+def test_is_virtual_below_the_generator_degrees(capsys):
+    # winnowing at a negative degree leaves the zero complex: not virtual
+    assert main(["is-virtual", "--ideal", CURVE_VR, "--degree=-2,0"]) == 1
+    assert "virtual: False" in capsys.readouterr().out
+
+
 def test_reg_check_exit_codes(capsys):
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "2,1"]) == 0
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0"]) == 1
