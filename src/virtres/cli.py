@@ -44,7 +44,7 @@ from .punctual import (
     points_ideal,
     random_points,
 )
-from .ring import Polynomial, RingSpec, check_char, vleq
+from .ring import EXP_MAX, Polynomial, RingSpec, check_char, vleq
 
 DEFAULT_CHAR = 32003
 
@@ -264,23 +264,29 @@ class _Parser:
 
     def parse_poly(self, ring: RingSpec) -> Polynomial:
         start = self.peek()
-        poly = ring.zero()
+        p = ring.char
+        terms: dict[int, int] = {}
         sign = 1
-        t = self.peek()
-        if t is not None and t.text in "+-":
+        if start is not None and start.text in "+-":
             self.next()
-            sign = -1 if t.text == "-" else 1
-        poly = poly + self.parse_term(ring).scale(sign)
+            sign = -1 if start.text == "-" else 1
         while True:
+            coeff, key = self.parse_term(ring)
+            if coeff:
+                coeff = (terms.get(key, 0) + sign * coeff) % p
+                if coeff:
+                    terms[key] = coeff
+                else:
+                    del terms[key]
             t = self.peek()
             if t is None or t.text not in "+-":
                 break
             self.next()
-            term = self.parse_term(ring)
-            poly = poly + term.scale(-1 if t.text == "-" else 1)
-        if poly.terms and not poly.is_homogeneous():
+            sign = -1 if t.text == "-" else 1
+        poly = Polynomial(ring, terms)
+        if terms and not poly.is_homogeneous():
             degs: dict[tuple, int] = {}
-            for k in poly.terms:
+            for k in terms:
                 degs.setdefault(ring.mono_degree(k), k)
             (d1, k1), (d2, k2) = sorted(degs.items())[:2]
             m1 = Polynomial(ring, {k1: 1})
@@ -293,21 +299,37 @@ class _Parser:
             )
         return poly
 
-    def parse_term(self, ring: RingSpec) -> Polynomial:
+    def parse_term(self, ring: RingSpec) -> tuple[int, int]:
+        """(coefficient mod p, packed key) of a product of factors, encoded
+        once; the key is the ring's one when the coefficient is zero."""
         start = self.peek()
-        try:
-            poly = self.parse_factor(ring)
-            while self.peek() is not None and self.peek().text == "*":
-                self.next()
-                poly = poly * self.parse_factor(ring)
-        except OverflowError as exc:  # an exponent past the packed-monomial range
-            raise ParseError(str(exc), start.line, start.col) from None
-        return poly
+        p = ring.char
+        weights = ring.codec.weights
+        exps = [0] * ring.nvars
+        coeff, wdeg = 1, 0
+        while True:
+            c, j, e = self.parse_factor(ring)
+            # a power past the packed-monomial range overflows on its own; a
+            # product overflows only while its coefficient is nonzero
+            w = weights[j] * e
+            coeff = coeff * c % p
+            wdeg += w
+            if w > EXP_MAX or (coeff and wdeg > EXP_MAX):
+                raise ParseError(
+                    "weighted degree exceeds packed-monomial capacity", start.line, start.col
+                )
+            exps[j] += e
+            if self.peek() is None or self.peek().text != "*":
+                break
+            self.next()
+        return coeff, ring.codec.encode(exps) if coeff else ring.codec.one
 
-    def parse_factor(self, ring: RingSpec) -> Polynomial:
+    def parse_factor(self, ring: RingSpec) -> tuple[int, int, int]:
+        """(integer, variable index, exponent): an integer factor n reads as
+        (n, 0, 0), a power of variable j as (1, j, e)."""
         t = self.next()
         if t.kind == "INT":
-            return ring.constant(int(t.text))
+            return int(t.text), 0, 0
         if t.kind != "NAME":
             raise ParseError(f"expected a variable or integer, found {t.text!r}", t.line, t.col)
         if (
@@ -322,18 +344,18 @@ class _Parser:
             j = self.expect_int()
             self.expect(")")
             try:
-                base = ring.x(i, j)
+                var = ring.x_index(i, j)
             except ValueError as exc:
                 raise ParseError(str(exc), t.line, t.col) from None
         else:
             try:
-                base = ring.variable(ring.var_index(t.text))
+                var = ring.var_index(t.text)
             except ValueError:
                 raise ParseError(f"unknown variable {t.text!r}", t.line, t.col) from None
         if self.peek() is not None and self.peek().text == "^":
             self.next()
-            return base ** self.expect_int()
-        return base
+            return 1, var, self.expect_int()
+        return 1, var, 1
 
 
 def _ascii_int(text: str) -> int:

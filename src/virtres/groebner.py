@@ -188,18 +188,21 @@ class ModuleElement:
 
     # -- grading -------------------------------------------------------------
 
-    def term_degree(self, tkey: int) -> Multidegree:
-        ring = self.ring
-        return vadd(ring.mono_degree(term_mono(tkey)), self.module.gen_degrees[term_pos(tkey)])
+    def _degrees(self) -> set[Multidegree]:
+        """The degrees of all terms, with one vector add per distinct
+        (monomial degree, position) pair rather than one per term."""
+        mono_degree = self.ring.mono_degree
+        pairs = {(mono_degree(term_mono(t)), term_pos(t)) for t in self.terms}
+        gen_degrees = self.module.gen_degrees
+        return {vadd(d, gen_degrees[pos]) for d, pos in pairs}
 
     def is_homogeneous(self) -> bool:
-        degs = {self.term_degree(t) for t in self.terms}
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def multidegree(self) -> Multidegree:
         if not self.terms:
             raise ValueError("the zero element has no multidegree")
-        degs = {self.term_degree(t) for t in self.terms}
+        degs = self._degrees()
         if len(degs) > 1:
             w = sorted(degs)[:2]
             raise ValueError(f"inhomogeneous element: degrees {w[0]} and {w[1]} both occur")
@@ -208,7 +211,8 @@ class ModuleElement:
     def _degree(self) -> Multidegree:
         """The degree of one term: the multidegree of a nonzero element known
         to be homogeneous, because the engine built it or a check passed it."""
-        return self.term_degree(next(iter(self.terms)))
+        t = next(iter(self.terms))
+        return vadd(self.ring.mono_degree(term_mono(t)), self.module.gen_degrees[term_pos(t)])
 
     def __str__(self) -> str:
         if not self.terms:

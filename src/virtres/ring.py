@@ -35,7 +35,7 @@ import itertools
 import struct
 from functools import lru_cache
 from math import comb, isqrt
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 Multidegree = tuple[int, ...]
@@ -57,15 +57,15 @@ MAX_VARS = 1000
 
 
 def vadd(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vmax(a: Multidegree, b: Multidegree) -> Multidegree:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vleq(a: Multidegree, b: Multidegree) -> bool:
@@ -259,7 +259,7 @@ class RingSpec:
     __slots__ = (
         "char", "var_degrees", "var_names", "irrelevant_primes",
         "dimension_vector", "rank_grading", "nvars", "weights", "codec",
-        "_inv_cache", "_degree_columns",
+        "_inv_cache", "_mono_degrees", "_degree_columns",
     )
 
     def __init__(
@@ -290,6 +290,7 @@ class RingSpec:
         )
         self.codec = MonomialCodec(per_var)
         self._inv_cache: dict[int, int] = {}
+        self._mono_degrees: dict[int, Multidegree] = {}
         # column k holds the k-th grading entry of every variable
         self._degree_columns = tuple(zip(*self.var_degrees))
 
@@ -347,8 +348,16 @@ class RingSpec:
     # -- monomials ----------------------------------------------------------
 
     def mono_degree(self, key: int) -> Multidegree:
-        exps = self.codec.decode(key)
-        return tuple([sum(map(mul, col, exps)) for col in self._degree_columns])
+        """The multidegree of a monomial key: its exponents dotted with each
+        grading column.  The product is taken once per key and ring; later
+        calls read it from the ring's memo, which grows with the distinct
+        monomials seen (a few hundred on the bundled examples)."""
+        deg = self._mono_degrees.get(key)
+        if deg is None:
+            exps = self.codec.decode(key)
+            deg = tuple([sum(map(mul, col, exps)) for col in self._degree_columns])
+            self._mono_degrees[key] = deg
+        return deg
 
     def monomials_of_degree(self, degree: Multidegree) -> list[int]:
         """All monomial keys of the given multidegree (finite by positivity)."""
@@ -413,16 +422,20 @@ class RingSpec:
         exps[j] = 1
         return Polynomial(self, {self.codec.encode(exps): 1})
 
-    def x(self, block: int, index: int) -> "Polynomial":
-        """Product-ring variable x(block, index), block counted from 1."""
+    def x_index(self, block: int, index: int) -> int:
+        """Position of the product-ring variable x(block, index), block
+        counted from 1."""
         if not self.is_product:
             raise ValueError("x(i,j) addressing requires a product ring")
         if block < 1 or block > len(self.dimension_vector):
             raise ValueError("factor index out of range")
-        j = sum(n + 1 for n in self.dimension_vector[: block - 1]) + index
         if index < 0 or index > self.dimension_vector[block - 1]:
             raise ValueError("variable index out of range")
-        return self.variable(j)
+        return sum(n + 1 for n in self.dimension_vector[: block - 1]) + index
+
+    def x(self, block: int, index: int) -> "Polynomial":
+        """Product-ring variable x(block, index), block counted from 1."""
+        return self.variable(self.x_index(block, index))
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         coeff %= self.char
@@ -569,14 +582,16 @@ class Polynomial:
 
     # -- grading -------------------------------------------------------------
 
+    def _degrees(self) -> set[Multidegree]:
+        return set(map(self.ring.mono_degree, self.terms))
+
     def is_homogeneous(self) -> bool:
-        degs = {self.ring.mono_degree(k) for k in self.terms}
-        return len(degs) <= 1
+        return len(self._degrees()) <= 1
 
     def multidegree(self) -> Multidegree:
         if not self.terms:
             raise ValueError("the zero polynomial has no multidegree")
-        degs = {self.ring.mono_degree(k) for k in self.terms}
+        degs = self._degrees()
         if len(degs) > 1:
             witness = sorted(degs)[:2]
             raise ValueError(f"inhomogeneous polynomial: degrees {witness[0]} and {witness[1]} both occur")

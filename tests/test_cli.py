@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from virtres import RingSpec
 from virtres.cli import JobSpec, ParseError, main, parse_job, render_job
 from virtres.fixtures import curve_ideal, curve_ring, hirzebruch_ideal, surface_ideal
 
@@ -142,6 +143,93 @@ def test_mutated_bundled_files_parse_or_raise_parse_error(data):
         parse_job(text)
     except ParseError:
         pass
+
+
+# -- the parser against Polynomial arithmetic -----------------------------------
+# Each term is rendered as a product of factors in random order: powers of
+# one variable split over several factors, ^0 and ^1, integer factors
+# anywhere, coefficients that vanish mod p and monomials that cancel.
+
+PARSE_RING = RingSpec.product([1, 2], char=101)
+X_NAMES = [(i, j) for i, n in enumerate(PARSE_RING.dimension_vector, 1) for j in range(n + 1)]
+
+
+@st.composite
+def rendered_terms(draw, degree):
+    """(text, Polynomial) of one term of the given monomial degree."""
+    ring = PARSE_RING
+    exps = ring.codec.decode(draw(st.sampled_from(ring.monomials_of_degree(degree))))
+    factors, expect = [], ring.one()
+    for (i, j), e in zip(X_NAMES, exps):
+        while e:
+            part = draw(st.integers(1, e))
+            e -= part
+            short = part == 1 and draw(st.booleans())
+            factors.append(f"x({i},{j})" if short else f"x({i},{j})^{part}")
+            expect = expect * ring.x(i, j) ** part
+    for _ in range(draw(st.integers(0, 1))):
+        i, j = draw(st.sampled_from(X_NAMES))
+        factors.append(f"x({i},{j})^0")
+    ints = st.sampled_from([0, 1, 3, 5, 100, 101, 202]) | st.integers(0, 250)
+    for c in draw(st.lists(ints, min_size=0 if factors else 1, max_size=2)):
+        factors.append(str(c))
+        expect = expect * ring.constant(c)
+    return "*".join(draw(st.permutations(factors))), expect
+
+
+@st.composite
+def rendered_generators(draw):
+    """(text, Polynomial) of one generator: signed terms of one degree."""
+    degree = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    terms = draw(st.lists(rendered_terms(degree), min_size=1, max_size=5))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(terms), max_size=len(terms)))
+    if draw(st.booleans()):  # the first term again, reordered, with the other sign
+        text, expect = terms[0]
+        terms.append(("*".join(draw(st.permutations(text.split("*")))), expect))
+        signs.append(-signs[0])
+    if draw(st.booleans()):  # a term of another degree that vanishes mod p
+        stray, _ = draw(rendered_terms((3, 1)))
+        i = draw(st.integers(0, len(terms)))
+        terms.insert(i, (f"{stray}*101", PARSE_RING.zero()))
+        signs.insert(i, 1)
+    text = ("-" if signs[0] < 0 else draw(st.sampled_from(["", "+"]))) + terms[0][0]
+    for sign, (t, _) in zip(signs[1:], terms[1:]):
+        text += (" - " if sign < 0 else " + ") + t
+    expect = PARSE_RING.zero()
+    for sign, (_, e) in zip(signs, terms):
+        expect = expect + e.scale(sign)
+    return text, expect
+
+
+@given(st.lists(rendered_generators(), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_parsed_generators_match_polynomial_arithmetic(gens):
+    text = "ring P(1,2) char 101\nideal I = " + ", ".join(t for t, _ in gens)
+    parsed = [g.coordinate(0) for g in parse_job(text).ideals["I"].gens]
+    expect = [f for _, f in gens if f]
+    assert parsed == expect
+    # the same terms in the same order as the sums of single terms build them
+    assert [list(f.terms.items()) for f in parsed] == [list(f.terms.items()) for f in expect]
+
+
+@pytest.mark.parametrize(
+    "body,col",
+    [
+        ("x(1,0)^20000*x(1,1)^20000", 11),
+        ("x(2,0) + x(1,0)^20000*x(1,1)^20000", 20),
+        ("x(1,0)^40000", 11),
+        ("0*x(1,0)^40000", 11),
+    ],
+)
+def test_packed_monomial_overflow_raises_at_the_term(body, col):
+    with pytest.raises(ParseError, match="exceeds packed-monomial capacity") as exc:
+        parse_job(f"ring P(1,1)\nideal I = {body}")
+    assert (exc.value.line, exc.value.col) == (2, col)
+
+
+def test_vanishing_term_may_pass_the_packed_monomial_capacity():
+    job = parse_job("ring P(1,1)\nideal I = x(2,0) + 0*x(1,0)^20000*x(1,1)^20000")
+    assert [g.coordinate(0) for g in job.ideals["I"].gens] == [job.ring.x(2, 0)]
 
 
 def test_inhomogeneous_generator_names_witness_terms():

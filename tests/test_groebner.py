@@ -1,5 +1,6 @@
 """Groebner engine tests: Buchberger criterion, normal forms, syzygies."""
 
+import operator
 import random
 
 import pytest
@@ -17,8 +18,11 @@ from virtres import (
     minimal_generators,
     quotient,
     syzygy_module,
+    vadd,
+    vsub,
 )
-from virtres.groebner import term_mono, term_pos
+from virtres.fixtures import hirzebruch_ideal
+from virtres.groebner import term_key, term_mono, term_pos
 
 R11 = RingSpec.product([1, 1], char=101)
 R12 = RingSpec.product([1, 2], char=32003)
@@ -217,3 +221,55 @@ def test_inhomogeneous_input_is_refused(call):
     f, F = _mixed()
     with pytest.raises(ValueError, match=MIXED_DEGREES):
         call(f, F)
+
+
+# -- homogeneity across positions ------------------------------------------------
+# multidegree adds each generator degree once per (monomial degree, position)
+# pair; the reference adds it once per term.
+
+HOMOGENEITY_RINGS = [RingSpec.product([1, 1]), hirzebruch_ideal().ring]
+
+
+def ref_term_degrees(elt):
+    ring = elt.ring
+    degs = set()
+    for t in elt.terms:
+        exps = ring.codec.decode(term_mono(t))
+        mono = tuple(sum(map(operator.mul, exps, col)) for col in zip(*ring.var_degrees))
+        degs.add(vadd(mono, elt.module.gen_degrees[term_pos(t)]))
+    return degs
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_homogeneity_across_positions_matches_per_term_reference(data):
+    ring = data.draw(st.sampled_from(HOMOGENEITY_RINGS))
+    small = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    gen_degrees = data.draw(st.lists(small, min_size=2, max_size=3, unique=True))
+    F = FreeModule(ring, gen_degrees)
+    target = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    coeff = st.integers(1, ring.char - 1)
+    mono_degrees = [vsub(target, a) for a in gen_degrees]
+    terms = {}
+    # every position at one total degree: the monomial degrees differ by position
+    for pos, d in enumerate(mono_degrees):
+        monos = ring.monomials_of_degree(d)
+        for k in data.draw(st.lists(st.sampled_from(monos), max_size=3)) if monos else []:
+            terms[term_key(k, pos)] = data.draw(coeff)
+    # sometimes a stray term, at any position, whose monomial degree is
+    # another position's or any small one
+    if data.draw(st.booleans()):
+        pos = data.draw(st.integers(0, len(gen_degrees) - 1))
+        monos = ring.monomials_of_degree(data.draw(st.sampled_from(mono_degrees) | small))
+        if monos:
+            terms[term_key(data.draw(st.sampled_from(monos)), pos)] = data.draw(coeff)
+    elt = ModuleElement(F, terms)
+    ref = ref_term_degrees(elt)
+    assert elt.is_homogeneous() == (len(ref) <= 1)
+    if len(ref) == 1:
+        assert elt.multidegree() == next(iter(ref))
+    elif ref:
+        d1, d2 = sorted(ref)[:2]
+        with pytest.raises(ValueError, match=MIXED_DEGREES) as info:
+            elt.multidegree()
+        assert f"degrees {d1} and {d2} both occur" in str(info.value)

@@ -101,7 +101,27 @@ def test_packed_codec_matches_per_variable_formulas(name, data):
     assert codec.decode(k1) == ref_decode(codec, k1) == tuple(e1)
     assert codec.lcm(k1, k2) == codec.encode([max(a, b) for a, b in zip(e1, e2)])
     assert codec.gcd_is_one(k1, k2) == all(a == 0 or b == 0 for a, b in zip(e1, e2))
-    assert ring.mono_degree(k1) == ref_mono_degree(ring, k1)
+    # the first read computes the degree, the second reads the ring's memo
+    ring._mono_degrees.pop(k1, None)
+    cold = ring.mono_degree(k1)
+    assert cold == ref_mono_degree(ring, k1)
+    assert ring.mono_degree(k1) is cold
+
+
+@given(st.lists(st.integers(0, 40), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_mono_degree_memo_is_per_ring(exps):
+    # P^1 x P^1 and the Hirzebruch ring both have four variables; with no
+    # power of the last one a monomial packs to the same key in both, yet
+    # the gradings differ, so each ring's memo must keep its own degree
+    hirzebruch = CODEC_RINGS["hirzebruch"]
+    key = R11.codec.encode(exps + [0])
+    assert hirzebruch.codec.encode(exps + [0]) == key
+    for _ in range(2):
+        assert R11.mono_degree(key) == ref_mono_degree(R11, key)
+        assert hirzebruch.mono_degree(key) == ref_mono_degree(hirzebruch, key)
+    if exps[2]:
+        assert R11.mono_degree(key) != hirzebruch.mono_degree(key)
 
 
 def test_lcm_and_coprimality_need_no_decode(monkeypatch):
