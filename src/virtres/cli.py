@@ -26,6 +26,7 @@ from functools import cache
 from .cohomology import beilinson_shape, regularity_check
 from .complexes import (
     BettiTable,
+    NotVirtualError,
     free_resolution,
     is_virtual,
     virtual_of_pair,
@@ -495,7 +496,15 @@ def cmd_truncate(args) -> int:
 def cmd_virtual_of_pair(args) -> int:
     ring, I = _load_ideal(args.ideal, product=True)
     d = _vector(args.degree, ring, "--degree")
-    F = virtual_of_pair(QuotientModule.cyclic(I), d, check=args.check)
+    try:
+        F = virtual_of_pair(QuotientModule.cyclic(I), d, check=args.check)
+    except NotVirtualError as exc:
+        if args.json:
+            out = {"degree": list(d), "virtual": False, "report": _jsonable(exc.report)}
+            print(json.dumps(out, indent=2))
+        else:
+            print(f"not virtual ({exc.report})")
+        return 1
     _emit_betti(BettiTable.from_complex(F), args.json)
     return 0
 

@@ -370,15 +370,13 @@ def _strand_euler_char(M: QuotientModule, p: Multidegree) -> int:
     """HF(M, p) as sum_j (-1)^j sum_{a in F_j} dim S_{p-a}, the Euler
     characteristic of the degree-p strand of M's resolution F.
 
-    Memoised per twist on M, since sheaf_cohomology_exact and the i = 1
-    branch of local_cohomology_dim_fast both read it.
+    Only the engine calls it, once per twist; sheaf_cohomology_exact keeps
+    the value beside the twist's cohomology, where the i = 1 branch of
+    local_cohomology_dim_fast reads it too.
     """
-    hf = M._strand_hf.get(p)
-    if hf is None:
-        F = free_resolution(M)
-        dim_S = F.ring.hilbert_series_free
-        hf = M._strand_hf[p] = _alternating_sum(F, lambda a: dim_S(vsub(p, a)))
-    return hf
+    F = free_resolution(M)
+    dim_S = F.ring.hilbert_series_free
+    return _alternating_sum(F, lambda a: dim_S(vsub(p, a)))
 
 
 def sheaf_cohomology_exact(
@@ -399,10 +397,25 @@ def sheaf_cohomology_exact(
     is needed and which lies outside the keys' range (some
     |p_i - a_i| >= 2^30) is refused with ValueError.  A FreeComplex is
     refused with TypeError, since the closed form needs a resolution.
+
+    Memoised per twist on M, with HF(M, p), like M's resolution and graded
+    bases, and with no size cap: the spectral sequence runs once per twist
+    (an ideal I reaches the one S/I kept on it), and each call returns a
+    fresh dict.  A refused M or twist stores nothing.
     """
     M = _as_quotient(M)
-    n = _dims(M.ring)
     p = tuple(p)
+    entry = M._cohomology.get(p)
+    if entry is None:
+        entry = M._cohomology[p] = _spectral_sequence(M, p)
+    return dict(entry[0])
+
+
+def _spectral_sequence(
+    M: QuotientModule, p: Multidegree
+) -> tuple[dict[int, int | None], int]:
+    """The engine of sheaf_cohomology_exact: ({k: h^k or None}, HF(M, p))."""
+    n = _dims(M.ring)
     F = free_resolution(M)
     char = F.ring.char
     decode = F.ring.codec.decode
@@ -489,14 +502,13 @@ def sheaf_cohomology_exact(
                     determined = False
             total += val
         out[k] = total if determined else None
-    return out
+    return out, hf
 
 
 def local_cohomology_dim_fast(
     M: QuotientModule | Submodule,
     i: int,
     p: Sequence[int],
-    coh: dict[int, int | None] | None = None,
 ) -> tuple[int, bool, bool]:
     """dim H^i_B(M)_p, exactly when the spectral sequence determines it.
 
@@ -504,14 +516,15 @@ def local_cohomology_dim_fast(
     h^{i-1}(X, M~(p)); for i = 1 and B-saturated M it equals
     h^0(M~(p)) - HF(M, p), with HF(M, p) read as the Euler characteristic
     of the degree-p strand of M's resolution.  Both are exact when
-    ``sheaf_cohomology_exact(M, p)`` (or the given ``coh``, its value)
-    determines the relevant diagonal; otherwise the Ext colimit heuristic
+    ``sheaf_cohomology_exact(M, p)`` determines the relevant diagonal; that
+    value and HF(M, p) come from its per-twist memo on M, so every i at one
+    twist shares one run of the engine.  Otherwise the Ext colimit heuristic
     is used, up to t = ``_T_MAX``.  An ideal I is read as S/I; a
     FreeComplex is refused with TypeError.
     """
     M = _as_quotient(M)
-    if coh is None:
-        coh = sheaf_cohomology_exact(M, p)
+    p = tuple(p)
+    coh = sheaf_cohomology_exact(M, p)
     if i >= 2:
         val = coh.get(i - 1, 0)
         if val is not None:
@@ -519,7 +532,7 @@ def local_cohomology_dim_fast(
     elif i == 1:
         h0 = coh.get(0, None)
         if h0 is not None:
-            dim = h0 - _strand_euler_char(M, tuple(p))
+            dim = h0 - M._cohomology[p][1]
             if dim >= 0:
                 return dim, True, True
     val, stab = local_cohomology_dim(M, i, p)
@@ -545,7 +558,9 @@ def regularity_check(
     fallback rests on its stabilization heuristic, and the report does not
     yet say which is which.  An empty failure list means
     "consistent-in-window" only.  The Ext-colimit fallback reads exponents
-    t up to ``_T_MAX``.
+    t up to ``_T_MAX``.  Exact values come from the per-twist memo of
+    sheaf_cohomology_exact on M, so further candidates and windows on one
+    module rerun the engine only at twists not asked before.
     """
     M = _as_quotient(M)
     ring = M.ring
@@ -582,9 +597,8 @@ def regularity_check(
                 if i not in lst:
                     lst.append(i)
     for p in sorted(needed):
-        coh = sheaf_cohomology_exact(M, p)
         for i in needed[p]:
-            dim, exact, stab = local_cohomology_dim_fast(M, i, p, coh=coh)
+            dim, exact, stab = local_cohomology_dim_fast(M, i, p)
             if not exact and not stab:
                 unstabilized.append((i, p))
             if dim:
@@ -692,7 +706,9 @@ def beilinson_shape(
     The block indexed by u (0 <= u <= n componentwise) sits in homological
     index |u| with generator degree d + u and rank chi(M~ tensor Omega^u(u+d)),
     computed by additivity over a free resolution of M and the per-factor
-    Koszul recursion for chi(Omega^u(t)).
+    Koszul recursion for chi(Omega^u(t)).  With ``verify_vanishing`` it
+    checks H^q_B(M)_d = 0 for q >= 2 through local_cohomology_dim_fast, which
+    runs the exact engine once for the twist d.
     """
     M = _as_quotient(M)
     n = _dims(M.ring)

@@ -408,6 +408,18 @@ def winnow(F: FreeComplex, d: Sequence[int]) -> FreeComplex:
     return _keep_summands(F.terms, [[col.terms for col in cols] for cols in F.maps], keep)
 
 
+class NotVirtualError(ValueError):
+    """A checked pair complex that is not a virtual resolution; ``report``
+    is is_virtual's report on it."""
+
+    def __init__(self, degree: Multidegree, report: dict):
+        super().__init__(
+            f"result is not a virtual resolution ({report}); "
+            f"{degree} is likely not in the multigraded regularity of the module"
+        )
+        self.report = report
+
+
 def virtual_of_pair(
     M: QuotientModule | Submodule,
     d: Sequence[int],
@@ -422,7 +434,8 @@ def virtual_of_pair(
     differential (see ``_iterated_syzygies``; the maps are minimal, not
     canonical).  So on every presentation the result is Betti-table-equal
     to winnowing the minimal free resolution.  With ``check`` the result is
-    verified with is_virtual (expensive for large inputs).
+    verified with is_virtual (expensive for large inputs), and one that is
+    not virtual raises NotVirtualError, carrying is_virtual's report.
     """
     if isinstance(M, Submodule):
         M = QuotientModule.cyclic(M)
@@ -443,10 +456,7 @@ def virtual_of_pair(
     if check:
         ok, report = is_virtual(out, M)
         if not ok:
-            raise RuntimeError(
-                f"result is not a virtual resolution ({report}); "
-                f"{d} is likely not in the multigraded regularity of the module"
-            )
+            raise NotVirtualError(d, report)
     return out
 
 

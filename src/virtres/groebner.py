@@ -556,12 +556,6 @@ def groebner_basis(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by homogeneous ``gens``."""
     _check_homogeneous(gens)
-    return _groebner_basis(gens, module)
-
-
-def _groebner_basis(
-    gens: Sequence[ModuleElement], module: FreeModule | None = None
-) -> GroebnerBasis:
     gens = [g for g in gens if g.terms]
     if not gens:
         if module is None:
@@ -592,10 +586,6 @@ def syzygy_module(
     it is a minimal generating set.
     """
     _check_homogeneous(gens)
-    return _syzygy_module(gens, minimalize)
-
-
-def _syzygy_module(gens: Sequence[ModuleElement], minimalize: bool = True) -> list[ModuleElement]:
     if not gens:
         return []
     engine = GroebnerEngine(gens[0].module, track=True)
@@ -606,7 +596,7 @@ def _syzygy_module(gens: Sequence[ModuleElement], minimalize: bool = True) -> li
     tag = FreeModule(engine.ring, [g._degree() if g.terms else zero for g in gens])
     syz = [ModuleElement(tag, s) for s in engine.relations + engine.syzygies]
     if minimalize:
-        syz = _minimal_generators(syz, module=tag)
+        syz = minimal_generators(syz, module=tag)
     return syz
 
 
@@ -615,12 +605,6 @@ def minimal_generators(
 ) -> list[ModuleElement]:
     """A subset of homogeneous ``elements`` that minimally generates the same submodule."""
     _check_homogeneous(elements)
-    return _minimal_generators(elements, module)
-
-
-def _minimal_generators(
-    elements: Sequence[ModuleElement], module: FreeModule | None = None
-) -> list[ModuleElement]:
     elems = [e for e in elements if e.terms]
     if not elems:
         return []

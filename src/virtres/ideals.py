@@ -35,9 +35,9 @@ from .groebner import (
     GroebnerEngine,
     ModuleElement,
     _add_by_degree,
-    _groebner_basis,
-    _minimal_generators,
-    _syzygy_module,
+    groebner_basis,
+    minimal_generators,
+    syzygy_module,
     term_key,
     term_mono,
     term_pos,
@@ -80,7 +80,7 @@ class Submodule:
 
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = _groebner_basis(self.gens, module=self.module)
+            self._gb = groebner_basis(self.gens, module=self.module)
         return self._gb
 
     def is_zero(self) -> bool:
@@ -108,7 +108,7 @@ class Submodule:
         return id(self)
 
     def minimalized(self) -> "Submodule":
-        return Submodule(self.module, _minimal_generators(self.gens, module=self.module))
+        return Submodule(self.module, minimal_generators(self.gens, module=self.module))
 
     def gen_degrees(self) -> list[Multidegree]:
         return [g.multidegree() for g in self.gens]
@@ -131,7 +131,7 @@ class QuotientModule:
     """A cokernel presentation F / W with W a submodule of the free module F."""
 
     __slots__ = (
-        "free", "relations", "_resolution", "_graded_bases", "_hom_ranks", "_strand_hf",
+        "free", "relations", "_resolution", "_graded_bases", "_hom_ranks", "_cohomology",
     )
 
     def __init__(self, free: FreeModule, relations: Submodule):
@@ -143,8 +143,9 @@ class QuotientModule:
         self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
         # ranks of the Ext-colimit's Hom maps, keyed on (t, k, b); see cohomology
         self._hom_ranks: dict[tuple[int, int, Multidegree], int] = {}
-        # HF(M, p) read off the resolution's degree-p strand; see cohomology
-        self._strand_hf: dict[Multidegree, int] = {}
+        # per twist p: the exact engine's {k: h^k or None} and HF(M, p); see
+        # cohomology.sheaf_cohomology_exact
+        self._cohomology: dict[Multidegree, tuple[dict[int, int | None], int]] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":
@@ -217,7 +218,7 @@ def _colon(F: FreeModule, blocks: Sequence[tuple[Polynomial, Submodule]]) -> lis
     for i, (_, A) in enumerate(blocks):
         gens += [ModuleElement(Fs, {t - i * r: c for t, c in a.terms.items()}) for a in A.gens]
     out = []
-    for s in _syzygy_module(gens, minimalize=False):
+    for s in syzygy_module(gens, minimalize=False):
         terms = {t: c for t, c in s.terms.items() if term_pos(t) < r}
         if terms:
             out.append(ModuleElement(F, terms))
@@ -235,8 +236,8 @@ def intersect(A: Submodule, B: Submodule) -> Submodule:
         raise ValueError("intersection requires a common ambient module")
     F = A.module
     one = A.ring.one()
-    gb = _groebner_basis(_colon(F, [(one, A), (one, B)]), module=F)
-    C = Submodule(F, _minimal_generators(gb.elements, module=F))
+    gb = groebner_basis(_colon(F, [(one, A), (one, B)]), module=F)
+    C = Submodule(F, minimal_generators(gb.elements, module=F))
     C._gb = gb
     return C
 
@@ -266,7 +267,7 @@ def quotient(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> 
     the g with g*f in A for every generator f of J."""
     forms = _colon_forms(A.ring, J)
     F = A.module
-    return Submodule(F, _minimal_generators(_colon(F, [(f, A) for f in forms]), module=F))
+    return Submodule(F, minimal_generators(_colon(F, [(f, A) for f in forms]), module=F))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def saturate(A: Submodule, J: Polynomial | Sequence[Polynomial] | Submodule) -> 
         colon = _colon(F, [(f, A) for f in forms])
         if A.contains_all(colon):
             return A
-        A = Submodule(F, _minimal_generators(colon, module=F))
+        A = Submodule(F, minimal_generators(colon, module=F))
 
 
 def b_saturate(A: Submodule) -> Submodule:
@@ -516,7 +517,7 @@ def truncate(A: Submodule, a: Sequence[int]) -> Submodule:
         need = vmax(vsub(a, g.multidegree()), zero)
         for key in ring.monomials_of_degree(need):
             out.append(g.mono_mul(key))
-    return Submodule(A.module, _minimal_generators(out, module=A.module))
+    return Submodule(A.module, minimal_generators(out, module=A.module))
 
 
 def hilbert_function(M: QuotientModule | Submodule, degree: Sequence[int]) -> int:

@@ -22,7 +22,7 @@ from .complexes import (
     is_virtual,
     koszul_pair_complex,
 )
-from .groebner import _syzygy_module
+from .groebner import syzygy_module
 from .ideals import (
     QuotientModule,
     Submodule,
@@ -443,7 +443,7 @@ def koszul_pair_for_points(
                 "insufficient vanishing sections (non-generic configuration)"
             )
     F0 = ideal(ring, []).module
-    syz = _syzygy_module([F0.wrap(f), F0.wrap(g)])
+    syz = syzygy_module([F0.wrap(f), F0.wrap(g)])
     if len(syz) != 1 or syz[0]._degree() != vadd(
         f.multidegree(), g.multidegree()
     ):

@@ -262,6 +262,26 @@ def test_virtual_of_pair_and_is_virtual(capsys):
     assert main(["is-virtual", "--ideal", CURVE_VR, "--degree", "2,1"]) == 0
 
 
+@pytest.mark.parametrize("degree", ["0,0", "1,0"])
+def test_virtual_of_pair_check_refutes_with_exit_1(capsys, degree):
+    argv = ["virtual-of-pair", "--ideal", CURVE_VR, "--degree", degree, "--check"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("not virtual (") and "'h0': False" in out
+    assert main(argv + ["--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["virtual"] is False and data["report"]["h0"] is False
+    assert data["degree"] == [int(c) for c in degree.split(",")]
+
+
+def test_virtual_of_pair_check_passes_the_same_table(capsys):
+    argv = ["virtual-of-pair", "--ideal", CURVE_VR, "--degree", "2,1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert main(argv + ["--check"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_unit_ideal_commands(tmp_path, capsys):
     unit = tmp_path / "unit.vr"
     unit.write_text("ring P(1,1) char 101\nideal I = 1\n")

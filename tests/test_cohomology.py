@@ -144,9 +144,8 @@ def test_sheaf_euler_char_of_ideal_matches_exact_cohomology(make):
 def test_exact_engine_agrees_with_ext_colimit_at_moderate_twists():
     M = QuotientModule.cyclic(curve_ideal())
     for p in [(2, 1), (1, 2), (3, 0)]:
-        coh = sheaf_cohomology_exact(M, p)
         for i in [1, 2]:
-            fast, exact, stab = local_cohomology_dim_fast(M, i, p, coh=coh)
+            fast, exact, stab = local_cohomology_dim_fast(M, i, p)
             slow, stab2 = local_cohomology_dim(M, i, p)
             if exact and stab2:
                 assert fast == slow, (i, p)
@@ -266,7 +265,7 @@ def test_closed_form_strand_row_matches_strand_ranks(name):
         # H^1_B(M)_p = h^0 - HF(M, p) whenever h^0 is determined and the
         # difference is a dimension
         if coh[0] is not None and coh[0] >= hilbert_function(M, p):
-            dim, exact, _ = local_cohomology_dim_fast(M, 1, p, coh=coh)
+            dim, exact, _ = local_cohomology_dim_fast(M, 1, p)
             assert exact and dim == coh[0] - hilbert_function(M, p), p
 
 
@@ -355,9 +354,88 @@ def test_strand_sum_once_per_twist(monkeypatch):
         return dim_S(self, degree)
 
     monkeypatch.setattr(RingSpec, "hilbert_series_free", counting_dim_S)
-    dim, exact, _ = local_cohomology_dim_fast(M, 1, (2, 1), coh=coh)
+    dim, exact, _ = local_cohomology_dim_fast(M, 1, (2, 1))
     assert calls == []
     assert exact and dim == coh[0] - hilbert_function(M, (2, 1)) == 0
+
+
+def _default_window_twists(M, d):
+    """The twists of regularity_check's default window for the candidate d."""
+    n = tuple(M.ring.dimension_vector)
+    maxgen = [max(c) for c in zip(*(g.multidegree() for g in M.relations.gens))]
+    lo = [-ni - 1 for ni in n]
+    hi = [max(di + ni + 1, mg) for di, ni, mg in zip(d, n, maxgen)]
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
+@pytest.mark.parametrize("make", [curve_ideal, surface_ideal])
+def test_exact_cohomology_memo_matches_fresh_modules(make):
+    warm = QuotientModule.cyclic(make())
+    twists = _default_window_twists(warm, (0, 0))
+    want = {p: sheaf_cohomology_exact(QuotientModule.cyclic(make()), p) for p in twists}
+    assert {p: sheaf_cohomology_exact(warm, p) for p in twists} == want
+    assert set(warm._cohomology) == set(twists)
+    assert {p: sheaf_cohomology_exact(warm, list(p)) for p in twists} == want
+
+
+def test_exact_cohomology_memo_hands_out_copies():
+    M = QuotientModule.cyclic(curve_ideal())
+    first = sheaf_cohomology_exact(M, (1, 0))
+    want = dict(first)
+    first[1] = 99
+    first.clear()
+    assert sheaf_cohomology_exact(M, (1, 0)) == want
+    assert sheaf_cohomology_exact(M, (1, 0)) is not sheaf_cohomology_exact(M, (1, 0))
+    assert local_cohomology_dim_fast(M, 2, (1, 0)) == (want[1], True, True)
+
+
+def test_refused_calls_store_nothing():
+    M = QuotientModule.cyclic(curve_ideal())
+    with pytest.raises(ValueError, match="outside the range"):
+        sheaf_cohomology_exact(M, (-(2**30), 0))
+    assert M._cohomology == {}
+    with pytest.raises(TypeError, match="FreeComplex"):
+        sheaf_cohomology_exact(free_resolution(M), (2, 1))
+    assert M._cohomology == {}
+
+
+def test_regularity_check_on_a_warm_module_matches_a_fresh_one():
+    cases = [
+        (curve_ideal, (2, 1), False),
+        (curve_ideal, (0, 0), False),
+        (surface_ideal, (1, 1), True),
+    ]
+    warm = {curve_ideal: QuotientModule.cyclic(curve_ideal()),
+            surface_ideal: QuotientModule.cyclic(surface_ideal())}
+    first = [regularity_check(warm[make], d, strict=strict) for make, d, strict in cases]
+    for (make, d, strict), rep in zip(cases, first):
+        fresh = regularity_check(QuotientModule.cyclic(make()), d, strict=strict)
+        again = regularity_check(warm[make], d, strict=strict)
+        for got in (rep, again):
+            assert (got.checks, got.verdict, got.unstabilized) == (
+                fresh.checks, fresh.verdict, fresh.unstabilized
+            ), (make.__name__, d)
+
+
+def test_engine_runs_once_per_twist(monkeypatch):
+    calls = []
+    engine = cohomology._spectral_sequence
+
+    def counting_engine(M, p):
+        calls.append(p)
+        return engine(M, p)
+
+    monkeypatch.setattr(cohomology, "_spectral_sequence", counting_engine)
+    shape = beilinson_shape(
+        QuotientModule.cyclic(curve_ideal()), (2, 2), verify_vanishing=True
+    )
+    assert shape.vanishing_verified is True
+    assert calls == [(2, 2)]
+    calls.clear()
+    M = QuotientModule.cyclic(curve_ideal())
+    for d in [(2, 1), (2, 2), (3, 1)]:
+        assert regularity_check(M, d).verdict == "consistent-in-window"
+    assert len(calls) == len(set(calls)) == 32
 
 
 # -- regularity -----------------------------------------------------------------

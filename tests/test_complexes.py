@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from virtres import (
     BettiTable,
     FreeModule,
+    NotVirtualError,
     Polynomial,
     QuotientModule,
     RingSpec,
@@ -295,6 +296,18 @@ def test_zero_f0_is_virtual_only_for_a_b_torsion_target():
     Z = winnow(free_resolution(QuotientModule.cyclic(B)), (-2, 0))
     assert Z.betti().totals == [0]
     assert is_virtual(Z, B)[0]
+
+
+def test_checked_pair_that_is_not_virtual_raises_with_the_report():
+    M = QuotientModule.cyclic(curve_ideal())
+    with pytest.raises(NotVirtualError) as info:
+        virtual_of_pair(M, (0, 0), check=True)
+    assert isinstance(info.value, ValueError)
+    assert "(0, 0) is likely not in the multigraded regularity" in str(info.value)
+    assert info.value.report == is_virtual(virtual_of_pair(M, (0, 0)), M)[1]
+    assert info.value.report["h0"] is False
+    G = virtual_of_pair(M, (2, 1), check=True)
+    assert G.betti() == virtual_of_pair(M, (2, 1)).betti()
 
 
 def test_unrelated_target_is_refused():
