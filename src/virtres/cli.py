@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -61,51 +62,40 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str  # NAME INT SYM
-    text: str
-    line: int
-    col: int
-
-
-_SYMBOLS = "()[]=+-*^,"
-# ASCII only: str.isdigit and str.isalpha also accept characters such as
-# '²' or '١', which int() then refuses or silently reads as a digit
+# A token is a name, an integer or a symbol, kept as its text: its kind is
+# read from its first character.  ASCII only: str.isdigit and str.isalpha
+# also accept characters such as '²' or '١', which int() then refuses or
+# silently reads as a digit.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[()\[\]=+\-*^,]")
+# a character that starts no token and is no whitespace (\s is str.isspace)
+_STRAY = re.compile(r"[^\sA-Za-z0-9_()\[\]=+\-*^,]")
 _DIGITS = frozenset("0123456789")
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_NAME_CHARS = _NAME_START | _DIGITS
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if ch in _SYMBOLS:
-                out.append(Token("SYM", ch, ln, col))
-                i += 1
-            elif ch in _DIGITS:
-                j = i
-                while j < len(line) and line[j] in _DIGITS:
-                    j += 1
-                out.append(Token("INT", line[i:j], ln, col))
-                i = j
-            elif ch in _NAME_START:
-                j = i
-                while j < len(line) and line[j] in _NAME_CHARS:
-                    j += 1
-                out.append(Token("NAME", line[i:j], ln, col))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", ln, col)
+def _code_lines(text: str) -> list[str]:
+    """The lines of text (str.splitlines) with their comments cut off."""
+    return [line.split("#", 1)[0] for line in text.splitlines()]
+
+
+def _tokenize(text: str) -> list[str]:
+    out: list[str] = []
+    for ln, line in enumerate(_code_lines(text), start=1):
+        stray = _STRAY.search(line)
+        if stray:
+            raise ParseError(f"unexpected character {stray.group()!r}", ln, stray.start() + 1)
+        out += _TOKEN.findall(line)
     return out
+
+
+def _token_position(text: str, k: int) -> tuple[int, int]:
+    """(line, column) of token k of text; only a ParseError asks for it."""
+    for ln, line in enumerate(_code_lines(text), start=1):
+        for m in _TOKEN.finditer(line):
+            if k == 0:
+                return ln, m.start() + 1
+            k -= 1
+    raise IndexError("token index out of range")
 
 
 @dataclass
@@ -117,37 +107,42 @@ class JobSpec:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], default_char: int):
-        self.toks = tokens
+    def __init__(self, text: str, default_char: int):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.default_char = default_char
 
-    def peek(self) -> Token | None:
+    def error(self, msg: str, k: int) -> ParseError:
+        """A ParseError at token k, or at line 1, col 1 of a text with no
+        tokens."""
+        line, col = _token_position(self.text, k) if self.toks else (1, 1)
+        return ParseError(msg, line, col)
+
+    def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.peek()
         if t is None:
-            last = self.toks[-1] if self.toks else Token("SYM", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col)
+            raise self.error("unexpected end of input", len(self.toks) - 1)
         self.pos += 1
         return t
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> str:
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t!r}", self.pos - 1)
         return t
 
     def expect_int(self) -> int:
         t = self.next()
-        if t.kind != "INT":
-            raise ParseError(f"expected an integer, found {t.text!r}", t.line, t.col)
-        return int(t.text)
+        if t[0] not in _DIGITS:
+            raise self.error(f"expected an integer, found {t!r}", self.pos - 1)
+        return int(t)
 
     def signed_int(self) -> int:
-        t = self.peek()
-        if t is not None and t.text == "-":
+        if self.peek() == "-":
             self.next()
             return -self.expect_int()
         return self.expect_int()
@@ -159,34 +154,36 @@ class _Parser:
         job: JobSpec | None = None
         while self.peek() is not None:
             t = self.next()
-            if t.text == "ring":
+            k = self.pos - 1
+            if t == "ring":
                 if ring is not None:
-                    raise ParseError("duplicate ring statement", t.line, t.col)
+                    raise self.error("duplicate ring statement", k)
                 ring = self.parse_ring()
                 job = JobSpec(ring)
-            elif t.text == "ideal":
+            elif t == "ideal":
                 if job is None:
-                    raise ParseError("ideal before ring statement", t.line, t.col)
-                name_tok = self.next()
-                if name_tok.kind != "NAME":
-                    raise ParseError("expected an ideal name", name_tok.line, name_tok.col)
+                    raise self.error("ideal before ring statement", k)
+                name = self.next()
+                if name[0] not in _NAME_START:
+                    raise self.error("expected an ideal name", self.pos - 1)
                 self.expect("=")
                 gens = self.parse_poly_list(job.ring)
                 if not gens:
-                    raise ParseError("nothing to resolve: empty ideal", t.line, t.col)
-                job.ideals[name_tok.text] = ideal(job.ring, gens)
+                    raise self.error("nothing to resolve: empty ideal", k)
+                job.ideals[name] = ideal(job.ring, gens)
             else:
-                raise ParseError(f"expected 'ring' or 'ideal', found {t.text!r}", t.line, t.col)
+                raise self.error(f"expected 'ring' or 'ideal', found {t!r}", k)
         if job is None:
             raise ParseError("missing ring statement", 1, 1)
         return job
 
     def parse_ring(self) -> RingSpec:
         t = self.next()
-        if t.text == "P":
+        k = self.pos - 1
+        if t == "P":
             self.expect("(")
             dims = [self.expect_int()]
-            while self.peek() is not None and self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 dims.append(self.expect_int())
             self.expect(")")
@@ -194,28 +191,28 @@ class _Parser:
             try:
                 return RingSpec.product(dims, char=char)
             except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.col) from None
-        if t.text == "custom":
+                raise self.error(str(exc), k) from None
+        if t == "custom":
             self.expect("degrees")
             degrees = self.parse_tuple_list()
             self.expect("primes")
             primes = self.parse_int_list_list()
             names = None
-            if self.peek() is not None and self.peek().text == "names":
+            if self.peek() == "names":
                 self.next()
-                names = [self.next().text]
-                while self.peek() is not None and self.peek().text == ",":
+                names = [self.next()]
+                while self.peek() == ",":
                     self.next()
-                    names.append(self.next().text)
+                    names.append(self.next())
             char = self.parse_char()
             try:
                 return RingSpec.custom(degrees, primes, char=char, var_names=names)
             except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.col) from None
-        raise ParseError(f"expected 'P' or 'custom', found {t.text!r}", t.line, t.col)
+                raise self.error(str(exc), k) from None
+        raise self.error(f"expected 'P' or 'custom', found {t!r}", k)
 
     def parse_char(self) -> int:
-        if self.peek() is not None and self.peek().text == "char":
+        if self.peek() == "char":
             self.next()
             return self.expect_int()
         return self.default_char
@@ -226,16 +223,16 @@ class _Parser:
         while True:
             self.expect("(")
             vec = [self.signed_int()]
-            while self.peek() is not None and self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 vec.append(self.signed_int())
             self.expect(")")
             out.append(tuple(vec))
             t = self.next()
-            if t.text == "]":
+            if t == "]":
                 return out
-            if t.text != ",":
-                raise ParseError(f"expected ',' or ']', found {t.text!r}", t.line, t.col)
+            if t != ",":
+                raise self.error(f"expected ',' or ']', found {t!r}", self.pos - 1)
 
     def parse_int_list_list(self) -> list[list[int]]:
         self.expect("[")
@@ -243,34 +240,37 @@ class _Parser:
         while True:
             self.expect("[")
             vec = [self.expect_int()]
-            while self.peek() is not None and self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 vec.append(self.expect_int())
             self.expect("]")
             out.append(vec)
             t = self.next()
-            if t.text == "]":
+            if t == "]":
                 return out
-            if t.text != ",":
-                raise ParseError(f"expected ',' or ']', found {t.text!r}", t.line, t.col)
+            if t != ",":
+                raise self.error(f"expected ',' or ']', found {t!r}", self.pos - 1)
 
     # -- polynomials ----------------------------------------------------------
+    # parse_poly, parse_term and parse_factor walk the tokens by index and
+    # leave self.pos after what they read
 
     def parse_poly_list(self, ring: RingSpec) -> list[Polynomial]:
         gens = [self.parse_poly(ring)]
-        while self.peek() is not None and self.peek().text == ",":
+        while self.peek() == ",":
             self.next()
             gens.append(self.parse_poly(ring))
         return gens
 
     def parse_poly(self, ring: RingSpec) -> Polynomial:
-        start = self.peek()
+        toks, n = self.toks, len(self.toks)
+        start = self.pos
         p = ring.char
         terms: dict[int, int] = {}
         sign = 1
-        if start is not None and start.text in "+-":
-            self.next()
-            sign = -1 if start.text == "-" else 1
+        if start < n and toks[start] in ("+", "-"):
+            sign = -1 if toks[start] == "-" else 1
+            self.pos += 1
         while True:
             coeff, key = self.parse_term(ring)
             if coeff:
@@ -279,84 +279,93 @@ class _Parser:
                     terms[key] = coeff
                 else:
                     del terms[key]
-            t = self.peek()
-            if t is None or t.text not in "+-":
+            k = self.pos
+            if k >= n or toks[k] not in ("+", "-"):
                 break
-            self.next()
-            sign = -1 if t.text == "-" else 1
+            sign = -1 if toks[k] == "-" else 1
+            self.pos = k + 1
         poly = Polynomial(ring, terms)
         if terms and not poly.is_homogeneous():
             degs: dict[tuple, int] = {}
-            for k in terms:
-                degs.setdefault(ring.mono_degree(k), k)
+            for key in terms:
+                degs.setdefault(ring.mono_degree(key), key)
             (d1, k1), (d2, k2) = sorted(degs.items())[:2]
             m1 = Polynomial(ring, {k1: 1})
             m2 = Polynomial(ring, {k2: 1})
-            raise ParseError(
+            raise self.error(
                 f"inhomogeneous generator: term {m1} has degree {d1} "
                 f"but term {m2} has degree {d2}",
-                start.line,
-                start.col,
+                start,
             )
         return poly
 
     def parse_term(self, ring: RingSpec) -> tuple[int, int]:
         """(coefficient mod p, packed key) of a product of factors, encoded
         once; the key is the ring's one when the coefficient is zero."""
-        start = self.peek()
+        toks, n = self.toks, len(self.toks)
+        start = k = self.pos
         p = ring.char
         weights = ring.codec.weights
         exps = [0] * ring.nvars
         coeff, wdeg = 1, 0
         while True:
-            c, j, e = self.parse_factor(ring)
+            c, j, e, k = self.parse_factor(ring, k)
             # a power past the packed-monomial range overflows on its own; a
             # product overflows only while its coefficient is nonzero
             w = weights[j] * e
             coeff = coeff * c % p
             wdeg += w
             if w > EXP_MAX or (coeff and wdeg > EXP_MAX):
-                raise ParseError(
-                    "weighted degree exceeds packed-monomial capacity", start.line, start.col
-                )
+                raise self.error("weighted degree exceeds packed-monomial capacity", start)
             exps[j] += e
-            if self.peek() is None or self.peek().text != "*":
+            if k >= n or toks[k] != "*":
                 break
-            self.next()
+            k += 1
+        self.pos = k
         return coeff, ring.codec.encode(exps) if coeff else ring.codec.one
 
-    def parse_factor(self, ring: RingSpec) -> tuple[int, int, int]:
-        """(integer, variable index, exponent): an integer factor n reads as
-        (n, 0, 0), a power of variable j as (1, j, e)."""
-        t = self.next()
-        if t.kind == "INT":
-            return int(t.text), 0, 0
-        if t.kind != "NAME":
-            raise ParseError(f"expected a variable or integer, found {t.text!r}", t.line, t.col)
-        if (
-            t.text == "x"
-            and ring.is_product
-            and self.peek() is not None
-            and self.peek().text == "("
-        ):
-            self.next()
-            i = self.expect_int()
-            self.expect(",")
-            j = self.expect_int()
-            self.expect(")")
+    def parse_factor(self, ring: RingSpec, k: int) -> tuple[int, int, int, int]:
+        """(integer, variable index, exponent, next token index) of the
+        factor at token k: an integer factor n reads as (n, 0, 0), a power of
+        variable j as (1, j, e)."""
+        toks, n = self.toks, len(self.toks)
+        if k >= n:
+            raise self.error("unexpected end of input", n - 1)
+        t = toks[k]
+        if t[0] in _DIGITS:
+            return int(t), 0, 0, k + 1
+        if t[0] not in _NAME_START:
+            raise self.error(f"expected a variable or integer, found {t!r}", k)
+        if t == "x" and ring.is_product and k + 1 < n and toks[k + 1] == "(":
+            # x ( i , j ): the six tokens are checked here; expect re-reads a
+            # malformed one and raises its error
+            if not (
+                toks[k + 3 : k + 6 : 2] == [",", ")"]
+                and toks[k + 2][0] in _DIGITS
+                and toks[k + 4][0] in _DIGITS
+            ):
+                self.pos = k + 2
+                self.expect_int()
+                self.expect(",")
+                self.expect_int()
+                self.expect(")")
             try:
-                var = ring.x_index(i, j)
+                var = ring.x_index(int(toks[k + 2]), int(toks[k + 4]))
             except ValueError as exc:
-                raise ParseError(str(exc), t.line, t.col) from None
+                raise self.error(str(exc), k) from None
+            k += 6
         else:
             try:
-                var = ring.var_index(t.text)
+                var = ring.var_index(t)
             except ValueError:
-                raise ParseError(f"unknown variable {t.text!r}", t.line, t.col) from None
-        if self.peek() is not None and self.peek().text == "^":
-            self.next()
-            return 1, var, self.expect_int()
-        return 1, var, 1
+                raise self.error(f"unknown variable {t!r}", k) from None
+            k += 1
+        if k < n and toks[k] == "^":
+            if k + 1 < n and toks[k + 1][0] in _DIGITS:
+                return 1, var, int(toks[k + 1]), k + 2
+            self.pos = k + 1
+            self.expect_int()  # raises: no integer after '^'
+        return 1, var, 1, k
 
 
 def _ascii_int(text: str) -> int:
@@ -385,7 +394,7 @@ def parse_job(text: str, default_char: int | None = None) -> JobSpec:
     """Parse a ring/ideal description file into a JobSpec."""
     if default_char is None:
         default_char = _default_char()
-    return _Parser(_tokenize(text), default_char).parse_job()
+    return _Parser(text, default_char).parse_job()
 
 
 def render_job(job: JobSpec) -> str:
@@ -536,8 +545,10 @@ def cmd_reg_check(args) -> int:
         print(json.dumps(rep.to_json_dict(), indent=2))
     else:
         print(f"candidate {d}: {rep.verdict}")
+        heuristic = set(rep.heuristic)
         for i, p, dim in rep.checks:
-            print(f"  witness: H^{i} at {p} has dimension {dim}")
+            source = " (Ext colimit)" if (i, p) in heuristic else ""
+            print(f"  witness: H^{i} at {p} has dimension {dim}{source}")
     return 0 if rep.verdict == "consistent-in-window" else 1
 
 

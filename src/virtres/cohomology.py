@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
+from operator import le
 from typing import Sequence
 
 from .complexes import FreeComplex, free_resolution
@@ -283,6 +284,9 @@ class RegularityReport:
     checks: list  # failure witnesses (i, p, dim)
     verdict: str  # "consistent-in-window" | "refuted"
     unstabilized: list = field(default_factory=list)
+    # the checked cells (i, p) whose value came from the Ext colimit, zero or
+    # not, in check order
+    heuristic: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -293,6 +297,9 @@ class RegularityReport:
             ],
             "unstabilized": [
                 {"i": i, "p": list(p)} for (i, p) in self.unstabilized
+            ],
+            "heuristic": [
+                {"i": i, "p": list(p)} for (i, p) in self.heuristic
             ],
             "verdict": self.verdict,
         }
@@ -398,17 +405,26 @@ def sheaf_cohomology_exact(
     |p_i - a_i| >= 2^30) is refused with ValueError.  A FreeComplex is
     refused with TypeError, since the closed form needs a resolution.
 
-    Memoised per twist on M, with HF(M, p), like M's resolution and graded
-    bases, and with no size cap: the spectral sequence runs once per twist
-    (an ideal I reaches the one S/I kept on it), and each call returns a
-    fresh dict.  A refused M or twist stores nothing.
+    Memoised per twist on M (see _twist_entry), like M's resolution and
+    graded bases, and with no size cap: the spectral sequence runs once per
+    twist (an ideal I reaches the one S/I kept on it), and each call returns
+    a fresh dict.  A refused M or twist stores nothing.
     """
     M = _as_quotient(M)
-    p = tuple(p)
+    return dict(_twist_entry(M, tuple(p))[0])
+
+
+def _twist_entry(
+    M: QuotientModule, p: Multidegree
+) -> tuple[dict[int, int | None], int, dict[int, tuple[int, bool, bool]]]:
+    """M's memo entry for the twist p: the exact engine's {k: h^k or None},
+    HF(M, p), and the final answers (dim, exact, stabilized) of
+    local_cohomology_dim_fast at p, keyed on i and filled as they are asked.
+    The engine runs when the twist is first asked."""
     entry = M._cohomology.get(p)
     if entry is None:
-        entry = M._cohomology[p] = _spectral_sequence(M, p)
-    return dict(entry[0])
+        entry = M._cohomology[p] = (*_spectral_sequence(M, p), {})
+    return entry
 
 
 def _spectral_sequence(
@@ -516,25 +532,35 @@ def local_cohomology_dim_fast(
     h^{i-1}(X, M~(p)); for i = 1 and B-saturated M it equals
     h^0(M~(p)) - HF(M, p), with HF(M, p) read as the Euler characteristic
     of the degree-p strand of M's resolution.  Both are exact when
-    ``sheaf_cohomology_exact(M, p)`` determines the relevant diagonal; that
-    value and HF(M, p) come from its per-twist memo on M, so every i at one
-    twist shares one run of the engine.  Otherwise the Ext colimit heuristic
-    is used, up to t = ``_T_MAX``.  An ideal I is read as S/I; a
-    FreeComplex is refused with TypeError.
+    ``sheaf_cohomology_exact(M, p)`` determines the relevant diagonal.
+    Otherwise the Ext colimit heuristic is used, up to t = ``_T_MAX``.  An
+    ideal I is read as S/I; a FreeComplex is refused with TypeError.
+
+    The answer is memoised on M in the twist's entry (see _twist_entry),
+    beside the engine's value and HF(M, p): every i at one twist shares one
+    run of the engine, and the Ext colimit runs at most once per (i, p).
     """
     M = _as_quotient(M)
     p = tuple(p)
-    coh = sheaf_cohomology_exact(M, p)
+    entry = _twist_entry(M, p)
+    answer = entry[2].get(i)
+    if answer is None:
+        answer = entry[2][i] = _answer(M, i, p, entry)
+    return answer
+
+
+def _answer(M: QuotientModule, i: int, p: Multidegree, entry) -> tuple[int, bool, bool]:
+    """The value of local_cohomology_dim_fast, from the twist's memo entry
+    or, where the engine leaves it undetermined, the Ext colimit."""
+    coh, hf, _ = entry
     if i >= 2:
         val = coh.get(i - 1, 0)
         if val is not None:
             return val, True, True
     elif i == 1:
-        h0 = coh.get(0, None)
-        if h0 is not None:
-            dim = h0 - M._cohomology[p][1]
-            if dim >= 0:
-                return dim, True, True
+        h0 = coh.get(0)
+        if h0 is not None and h0 >= hf:
+            return h0 - hf, True, True
     val, stab = local_cohomology_dim(M, i, p)
     return val, False, stab
 
@@ -555,12 +581,17 @@ def regularity_check(
     one factor), and several classical examples satisfy only the default
     condition.  A nonzero witness that the spectral sequence determines
     refutes d for the chosen regions exactly; one from the Ext-colimit
-    fallback rests on its stabilization heuristic, and the report does not
-    yet say which is which.  An empty failure list means
+    fallback rests on its stabilization heuristic.  The report's
+    ``heuristic`` lists every checked cell (i, p) whose value came from the
+    fallback, zero or not.  An empty failure list means
     "consistent-in-window" only.  The Ext-colimit fallback reads exponents
-    t up to ``_T_MAX``.  Exact values come from the per-twist memo of
-    sheaf_cohomology_exact on M, so further candidates and windows on one
-    module rerun the engine only at twists not asked before.
+    t up to ``_T_MAX``.
+
+    The cells (i, p) are built once per distinct region (in the default
+    mode every i shares one box) and read in order of ascending twist, then
+    ascending i.  Each answer comes from the per-twist memo of
+    local_cohomology_dim_fast on M, so further candidates and windows on one
+    module run the engine and the Ext colimit only at cells not asked before.
     """
     M = _as_quotient(M)
     ring = M.ring
@@ -582,29 +613,45 @@ def regularity_check(
         hi = tuple(int(c) for c in window[1])
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("empty window")
+    # the corner d - q of each region, with the i that share it; in the
+    # default mode every i shares the one corner d
+    top = sum(n) + 1
+    if strict:
+        corners: dict[Multidegree, list[int]] = {}
+        for i in range(1, top + 1):
+            for q in _weak_compositions(i - 1, r):
+                corners.setdefault(vsub(d, q), []).append(i)
+    else:
+        corners = {d: list(range(1, top + 1))}
+    boxes = []
+    for corner, ii in corners.items():
+        plo = tuple(map(max, corner, lo))
+        if all(map(le, plo, hi)):
+            boxes.append((plo, ii))
+    if len(boxes) == 1:
+        # one box, whose twists come out in ascending order
+        ((plo, ii),) = boxes
+        twists = [(p, ii) for p in _box(plo, hi)]
+    else:
+        needed: dict[Multidegree, set[int]] = {}
+        for plo, ii in boxes:
+            for p in _box(plo, hi):
+                needed.setdefault(p, set()).update(ii)
+        twists = [(p, sorted(needed[p])) for p in sorted(needed)]
     failures = []
     unstabilized = []
-    needed: dict[Multidegree, list[int]] = {}
-    for i in range(1, sum(n) + 2):
-        shifts = _weak_compositions(i - 1, r) if strict else [(0,) * r]
-        for q in shifts:
-            base = vsub(d, q)
-            plo = tuple(max(a, b) for a, b in zip(base, lo))
-            if any(a > b for a, b in zip(plo, hi)):
-                continue
-            for p in _box(plo, hi):
-                lst = needed.setdefault(p, [])
-                if i not in lst:
-                    lst.append(i)
-    for p in sorted(needed):
-        for i in needed[p]:
+    heuristic = []
+    for p, ii in twists:
+        for i in ii:
             dim, exact, stab = local_cohomology_dim_fast(M, i, p)
-            if not exact and not stab:
-                unstabilized.append((i, p))
+            if not exact:
+                heuristic.append((i, p))
+                if not stab:
+                    unstabilized.append((i, p))
             if dim:
                 failures.append((i, p, dim))
     verdict = "refuted" if failures else "consistent-in-window"
-    return RegularityReport((tuple(d)), (lo, hi), failures, verdict, unstabilized)
+    return RegularityReport(d, (lo, hi), failures, verdict, unstabilized, heuristic)
 
 
 # ---------------------------------------------------------------------------

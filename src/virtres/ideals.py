@@ -143,9 +143,13 @@ class QuotientModule:
         self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
         # ranks of the Ext-colimit's Hom maps, keyed on (t, k, b); see cohomology
         self._hom_ranks: dict[tuple[int, int, Multidegree], int] = {}
-        # per twist p: the exact engine's {k: h^k or None} and HF(M, p); see
-        # cohomology.sheaf_cohomology_exact
-        self._cohomology: dict[Multidegree, tuple[dict[int, int | None], int]] = {}
+        # per twist p: the exact engine's {k: h^k or None}, HF(M, p), and the
+        # answers (dim, exact, stabilized) of H^i_B(M)_p keyed on i, the Ext
+        # colimit's included; see cohomology._twist_entry
+        self._cohomology: dict[
+            Multidegree,
+            tuple[dict[int, int | None], int, dict[int, tuple[int, bool, bool]]],
+        ] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":

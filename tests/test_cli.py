@@ -117,6 +117,50 @@ def test_non_ascii_digits_and_letters_are_refused(text, col):
     assert (exc.value.line, exc.value.col) == (2, col)
 
 
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        # comments, one of them holding characters the grammar refuses, are
+        # cut off before the error's line and column are counted
+        (
+            "# head @ $\nring P(1,1) # tail é\nideal I = x(1,0) + z0",
+            "unknown variable 'z0'", 3, 20,
+        ),
+        (
+            "# a comment with x(9,9)\nring P(1,1)\nideal I = x(1,0) @ x(2,0)",
+            "unexpected character '@'", 3, 18,
+        ),
+        # \r\n breaks and a blank line count as str.splitlines counts them
+        (
+            "ring P(1,1)\r\nideal I = x(1,0)*x(2,0),\r\n\r\n  x(1,1) + x(9,9)\r\n",
+            "factor index out of range", 4, 12,
+        ),
+        (
+            "ring P(1,1)\r\nideal I = x(1,0),\r\n  x(1,1)^\r\n",
+            "unexpected end of input", 3, 9,
+        ),
+        # Unicode whitespace is skipped; a non-ASCII letter after it is not
+        (
+            "ring P(1,1)\nideal I = x(1,0) + \u3000\u00e9",
+            "unexpected character 'é'", 2, 21,
+        ),
+    ],
+    ids=["after-comment", "stray-after-comment", "crlf", "crlf-end", "after-whitespace"],
+)
+def test_parse_error_positions(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_job(text)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_unicode_whitespace_separates_tokens():
+    job = parse_job("ring P(1,1)\u2003char\u00a0101\nideal I = x(1,0)\u3000+\u2009x(1,1)")
+    ring = job.ring
+    assert ring.char == 101
+    assert [g.coordinate(0) for g in job.ideals["I"].gens] == [ring.x(1, 0) + ring.x(1, 1)]
+
+
 @pytest.mark.parametrize("ch", NON_ASCII, ids=["superscript", "arabic-indic", "accented"])
 def test_non_ascii_character_exit_2(tmp_path, capsys, ch):
     bad = tmp_path / "bad.vr"
@@ -303,6 +347,20 @@ def test_reg_check_exit_codes(capsys):
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0"]) == 1
     out = capsys.readouterr().out
     assert "refuted" in out
+
+
+def test_reg_check_names_heuristic_witnesses(capsys):
+    # 10 of the curve's 16 witnesses at (0,0) come from the Ext colimit
+    assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [line for line in lines if "witness:" in line]
+    assert len(witnesses) == 16
+    assert sum(line.endswith(" (Ext colimit)") for line in witnesses) == 10
+    assert "  witness: H^2 at (1, 0) has dimension 3" in witnesses
+    assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0", "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["failures"]) == 16 and len(out["heuristic"]) == 16
+    assert {"i": 1, "p": [0, 1]} in out["heuristic"]
 
 
 def test_points_command_seed_echo(capsys):

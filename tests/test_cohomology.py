@@ -412,8 +412,8 @@ def test_regularity_check_on_a_warm_module_matches_a_fresh_one():
         fresh = regularity_check(QuotientModule.cyclic(make()), d, strict=strict)
         again = regularity_check(warm[make], d, strict=strict)
         for got in (rep, again):
-            assert (got.checks, got.verdict, got.unstabilized) == (
-                fresh.checks, fresh.verdict, fresh.unstabilized
+            assert (got.checks, got.verdict, got.unstabilized, got.heuristic) == (
+                fresh.checks, fresh.verdict, fresh.unstabilized, fresh.heuristic
             ), (make.__name__, d)
 
 
@@ -448,6 +448,133 @@ CURVE_00_WITNESSES = [
     (1, (0, 8), 17), (2, (1, 0), 3), (1, (1, 1), 1), (1, (1, 2), 3),
     (1, (1, 3), 3), (1, (1, 4), 1), (2, (2, 0), 2), (2, (3, 0), 1),
 ]
+
+
+# The (i, p) at which the exact engine leaves H^i_B of the curve undetermined,
+# so that its (0,0) check reads the Ext colimit
+CURVE_00_FALLBACK = (
+    {(1, (0, p)) for p in range(6)}
+    | {(1, (1, p)) for p in range(1, 5)}
+    | {(2, (0, p)) for p in range(6)}
+)
+
+
+def _checked_cells(monkeypatch):
+    """The (i, p) that regularity_check asks local_cohomology_dim_fast for,
+    in order."""
+    cells = []
+    fast = cohomology.local_cohomology_dim_fast
+
+    def spy(M, i, p):
+        cells.append((i, tuple(p)))
+        return fast(M, i, p)
+
+    monkeypatch.setattr(cohomology, "local_cohomology_dim_fast", spy)
+    return cells
+
+
+def _fallback_runs(monkeypatch):
+    """The (i, p) at which the Ext colimit runs, in order."""
+    runs = []
+    colimit = cohomology.local_cohomology_dim
+
+    def spy(M, i, b, *args):
+        runs.append((i, tuple(b)))
+        return colimit(M, i, b, *args)
+
+    monkeypatch.setattr(cohomology, "local_cohomology_dim", spy)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "make,d,strict,ncells,heuristic,heuristic_witnesses",
+    [
+        (curve_ideal, (2, 1), False, 96, set(), []),
+        (
+            curve_ideal, (0, 0), False, 144, CURVE_00_FALLBACK,
+            [w for w in CURVE_00_WITNESSES if w[:2] in CURVE_00_FALLBACK],
+        ),
+        (surface_ideal, (1, 1), False, 90, set(), []),
+        (
+            surface_ideal, (1, 1), True, 184,
+            {(3, (0, 0)), (2, (0, 1)), (3, (0, 1)), (2, (0, 2)), (3, (0, 2))},
+            [(3, (0, 0), 2)],
+        ),
+    ],
+    ids=["curve-21", "curve-00", "surface-11", "surface-11-strict"],
+)
+def test_regularity_check_names_the_source_of_every_cell(
+    monkeypatch, make, d, strict, ncells, heuristic, heuristic_witnesses
+):
+    cells = _checked_cells(monkeypatch)
+    M = QuotientModule.cyclic(make())
+    rep = regularity_check(M, d, strict=strict)
+    # every cell once, in order of ascending twist, then ascending i
+    assert len(cells) == len(set(cells)) == ncells
+    assert cells == sorted(cells, key=lambda c: (c[1], c[0]))
+    # the cells whose value is not exact, zero or not, in check order
+    assert rep.heuristic == [c for c in cells if not local_cohomology_dim_fast(M, *c)[1]]
+    assert set(rep.heuristic) == heuristic
+    assert [w for w in rep.checks if w[:2] in heuristic] == heuristic_witnesses
+    assert rep.to_json_dict()["heuristic"] == [
+        {"i": i, "p": list(p)} for i, p in rep.heuristic
+    ]
+
+
+def test_fallback_runs_once_per_cell(monkeypatch):
+    runs = _fallback_runs(monkeypatch)
+    M = QuotientModule.cyclic(curve_ideal())
+    first = regularity_check(M, (0, 0))
+    assert len(runs) == len(set(runs)) == 16
+    assert set(runs) == CURVE_00_FALLBACK
+    runs.clear()
+    assert regularity_check(M, (0, 0)) == first
+    assert runs == []
+    # the windows that cover every p >= (0,0) of the default window, then
+    # the whole window: each undetermined cell reaches the colimit once
+    M = QuotientModule.cyclic(curve_ideal())
+    windows = [
+        box for k in range(6) for box in (((-2, k), (0, k)), ((1, k), (3, k)))
+    ] + [((-2, 6), (3, 8))]
+    witnesses = []
+    for window in windows:
+        witnesses += regularity_check(M, (0, 0), window=window).checks
+    assert regularity_check(M, (0, 0)) == first
+    assert sorted(witnesses, key=lambda w: (w[1], w[0])) == first.checks
+    assert len(runs) == len(set(runs)) == 16
+
+
+def test_strict_regions_overlap_but_each_cell_is_read_once(monkeypatch):
+    # at d = (1, 1) the strict regions of i = 2, 3 (d - q + N^r for |q| = i - 1)
+    # overlap each other and the box of i = 1
+    cells = _checked_cells(monkeypatch)
+    runs = _fallback_runs(monkeypatch)
+    M = QuotientModule.cyclic(curve_ideal())
+    rep = regularity_check(M, (1, 1), strict=True)
+    assert len(cells) == len(set(cells))
+    twists = [p for _, p in cells]
+    assert twists == sorted(twists)
+    for p in set(twists):
+        ii = [i for i, q in cells if q == p]
+        assert ii == sorted(ii)
+    assert len(runs) == len(set(runs)) == len(rep.heuristic)
+    # the cells are exactly those of the regions
+    n, top = (1, 2), 4
+    want = {
+        (i, p)
+        for i in range(1, top + 1)
+        for q in itertools.product(*(range(i) for _ in n))
+        if sum(q) == i - 1
+        for p in itertools.product(
+            *(range(max(di - qi, lo), hi + 1) for di, qi, lo, hi in zip(
+                (1, 1), q, rep.window[0], rep.window[1]
+            ))
+        )
+    }
+    assert set(cells) == want
+    # each witness in order of ascending i within its twist
+    for a, b in zip(rep.checks, rep.checks[1:]):
+        assert (a[1], a[0]) < (b[1], b[0])
 
 
 def test_regularity_check_curve():
