@@ -545,10 +545,8 @@ def cmd_reg_check(args) -> int:
         print(json.dumps(rep.to_json_dict(), indent=2))
     else:
         print(f"candidate {d}: {rep.verdict}")
-        heuristic = set(rep.heuristic)
         for i, p, dim in rep.checks:
-            source = " (Ext colimit)" if (i, p) in heuristic else ""
-            print(f"  witness: H^{i} at {p} has dimension {dim}{source}")
+            print(f"  witness: H^{i} at {p} has dimension {dim}")
     return 0 if rep.verdict == "consistent-in-window" else 1
 
 

@@ -18,10 +18,12 @@ from operator import le
 from typing import Sequence
 
 from .complexes import FreeComplex, free_resolution
-from .groebner import term_key, term_mono, term_pos
+from .groebner import FreeModule, ModuleElement, syzygy_module, term_key, term_mono, term_pos
 from .ideals import (
     QuotientModule,
     Submodule,
+    b_saturate,
+    hilbert_function,
     irrelevant_power,
 )
 from .ring import (
@@ -31,6 +33,7 @@ from .ring import (
     _weak_compositions,
     echelon_mod_p,
     vadd,
+    vmax,
     vsub,
 )
 
@@ -162,7 +165,7 @@ def sheaf_euler_char(M: QuotientModule | Submodule | FreeComplex, b: Sequence[in
 
 
 # ---------------------------------------------------------------------------
-# local cohomology via the Ext colimit
+# local cohomology via the Ext colimit: an independent oracle
 
 
 _POWER_RES_CACHE: dict[tuple, FreeComplex] = {}
@@ -183,7 +186,7 @@ def _hom_matrix(M: QuotientModule, F: FreeComplex, k: int, b: Multidegree) -> li
     rows: row i is the image of source basis element i (the transposed
     matrix, so the rank is the same)."""
     mul = M.ring.codec.mul
-    term_nf = M.relations.gb().term_normal_form
+    normal_form = M.relations.gb().normal_form
     src_blocks = [M.graded_basis(vadd(b, a)) for a in F.terms[k].gen_degrees]
     dst_degs = [vadd(b, c) for c in F.terms[k + 1].gen_degrees]
     dst_index = {
@@ -204,26 +207,12 @@ def _hom_matrix(M: QuotientModule, F: FreeComplex, k: int, b: Multidegree) -> li
             entries.setdefault(term_pos(t), []).append((term_mono(t), c))
         for j, mono_terms in entries.items():
             for col_i, (pos, K) in enumerate(src_blocks[j]):
-                # the normal form is linear: sum the memoised normal forms of
-                # the basis monomial times each monomial of the entry; echelon
-                # reduces the entries mod p
+                # the basis monomial times the entry p_{j,kk}, in normal form
+                image = {term_key(mul(K, K2), pos): c2 for K2, c2 in mono_terms}
                 row = rows[src_off[j] + col_i]
-                for K2, c2 in mono_terms:
-                    for t2, c3 in term_nf(term_key(mul(K, K2), pos)):
-                        c = off + dst_idx[t2]
-                        row[c] = row.get(c, 0) + c2 * c3
+                for t2, c3 in normal_form(ModuleElement(M.free, image)).terms.items():
+                    row[off + dst_idx[t2]] = c3
     return rows
-
-
-def _hom_rank(M: QuotientModule, t: int, k: int, b: Multidegree) -> int:
-    """Rank of Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b for F the resolution of
-    S/B^[t], memoised on M: Ext^k and Ext^{k+1} at b both need it."""
-    key = (t, k, b)
-    rank = M._hom_ranks.get(key)
-    if rank is None:
-        F = _irrelevant_power_resolution(M.ring, t)
-        rank = M._hom_ranks[key] = len(echelon_mod_p(_hom_matrix(M, F, k, b), M.ring.char))
-    return rank
 
 
 def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
@@ -236,26 +225,31 @@ def _ext_dim(M: QuotientModule, i: int, b: Multidegree, t: int) -> int:
     )
     if dim_i == 0:
         return 0
-    rank_out = _hom_rank(M, t, i, b) if i < F.length else 0
-    rank_in = _hom_rank(M, t, i - 1, b) if i >= 1 else 0
-    return dim_i - rank_out - rank_in
-
-
-# The largest exponent t of the Ext colimit that the regularity checks read.
-_T_MAX = 6
+    # Hom(F_k, M)_b -> Hom(F_{k+1}, M)_b leaves and enters Hom(F_i, M)_b
+    ranks = [
+        len(echelon_mod_p(_hom_matrix(M, F, k, b), M.ring.char))
+        for k in (i - 1, i)
+        if 0 <= k < F.length
+    ]
+    return dim_i - sum(ranks)
 
 
 def local_cohomology_dim(
     M: QuotientModule | Submodule,
     i: int,
     b: Sequence[int],
-    t_max: int = _T_MAX,
+    t_max: int = 6,
 ) -> tuple[int, bool]:
     """dim H^i_B(M)_b via the colimit of Ext^i(S/B^[t], M)_b over t.
 
     Returns (dimension, stabilized).  Stabilization is declared when two
     consecutive values of t agree; if t_max is reached first the last value
     is returned with the flag false.  t_max must be at least 1.
+
+    An independent cross-check of local_cohomology_dim_fast, which nothing
+    in virtres reads: stabilization is a heuristic, and a value can repeat
+    before the colimit is reached.  Nothing is memoised but the graded
+    bases of M and the resolutions of S/B^[t].
     """
     if t_max < 1:
         raise ValueError(f"t_max must be at least 1, got {t_max}")
@@ -283,10 +277,6 @@ class RegularityReport:
     window: tuple[Multidegree, Multidegree]
     checks: list  # failure witnesses (i, p, dim)
     verdict: str  # "consistent-in-window" | "refuted"
-    unstabilized: list = field(default_factory=list)
-    # the checked cells (i, p) whose value came from the Ext colimit, zero or
-    # not, in check order
-    heuristic: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,12 +284,6 @@ class RegularityReport:
             "window": [list(self.window[0]), list(self.window[1])],
             "failures": [
                 {"i": i, "p": list(p), "dim": d} for (i, p, d) in self.checks
-            ],
-            "unstabilized": [
-                {"i": i, "p": list(p)} for (i, p) in self.unstabilized
-            ],
-            "heuristic": [
-                {"i": i, "p": list(p)} for (i, p) in self.heuristic
             ],
             "verdict": self.verdict,
         }
@@ -388,43 +372,83 @@ def _strand_euler_char(M: QuotientModule, p: Multidegree) -> int:
 
 def sheaf_cohomology_exact(
     M: QuotientModule | Submodule, p: Sequence[int]
-) -> dict[int, int | None]:
+) -> dict[int, int]:
     """Exact dims of H^k(X, M~(p)) for a module M (an ideal I is read as S/I).
 
     Runs the hypercohomology spectral sequence of the twisted minimal free
     resolution F of M (memoised on M), with E1 entries H^q(O(p - a)) for the
-    summands S(-a) of F_j; takes E_2 and reads off each diagonal whose higher
-    differentials are forced to vanish.  Undetermined diagonals map to None.
+    summands S(-a) of F_j, takes E_2 and reads off each diagonal whose
+    higher differentials are forced to vanish.
 
     The row q = 0 is the degree-p strand of F, which is exact: E2(0,0) is
     HF(M, p), the strand's Euler characteristic, and E2(j,0) = 0 for j >= 1.
     Only the rows q > 0 are built, with explicit Laurent-monomial (Čech)
     bases of H^q(O(c)) as packed integer keys, on which the induced
-    multiplication maps are integer shifts.  A twist p - a whose Čech basis
-    is needed and which lies outside the keys' range (some
-    |p_i - a_i| >= 2^30) is refused with ValueError.  A FreeComplex is
-    refused with TypeError, since the closed form needs a resolution.
+    multiplication maps are integer shifts.
 
-    Memoised per twist on M (see _twist_entry), like M's resolution and
-    graded bases, and with no size cap: the spectral sequence runs once per
-    twist (an ideal I reaches the one S/I kept on it), and each call returns
-    a fresh dict.  A refused M or twist stores nothing.
+    When a diagonal is left undetermined, the sequence runs once more on
+    the truncation M_{>=e} (see _truncation), which has the same sheaf and
+    whose E1 page is the single row q = |n|: it degenerates at E_2, so every
+    h^k is determined and the table returned is that one.
+
+    A twist p - a whose Čech basis is needed and which lies outside the
+    keys' range (some |p_i - a_i| >= 2^30) is refused with ValueError.  A
+    FreeComplex is refused with TypeError, since the closed form needs a
+    resolution.  Memoised per twist on M (see _twist_entry), like M's
+    resolution and graded bases, and with no size cap: an ideal I reaches
+    the one S/I kept on it, and each call returns a fresh dict.  A refused
+    M or twist stores nothing.
     """
     M = _as_quotient(M)
     return dict(_twist_entry(M, tuple(p))[0])
 
 
-def _twist_entry(
-    M: QuotientModule, p: Multidegree
-) -> tuple[dict[int, int | None], int, dict[int, tuple[int, bool, bool]]]:
-    """M's memo entry for the twist p: the exact engine's {k: h^k or None},
-    HF(M, p), and the final answers (dim, exact, stabilized) of
-    local_cohomology_dim_fast at p, keyed on i and filled as they are asked.
-    The engine runs when the twist is first asked."""
+def _twist_entry(M: QuotientModule, p: Multidegree) -> tuple[dict[int, int], int]:
+    """M's memo entry for the twist p: {k: h^k(M~(p))} and the dimension of
+    the image of M_p in H^0(M~(p)), HF(M / H^0_B(M), p).
+
+    When M's own sequence determines h^0, that image is HF(M, p): a nonzero
+    E2(0,0) = M_p is determined only when no entry of the diagonal -1 could
+    map into it, so H^0_B(M)_p, the kernel of M_p -> H^0, is zero.  When
+    the truncation supplies h^0, it is the Hilbert function of F / (W :
+    B^infinity), and b_saturate returns W itself when W is saturated.
+    """
     entry = M._cohomology.get(p)
     if entry is None:
-        entry = M._cohomology[p] = (*_spectral_sequence(M, p), {})
+        coh, image = _spectral_sequence(M, p)
+        if None in coh.values():
+            if coh[0] is None:
+                image = hilbert_function(QuotientModule(M.free, b_saturate(M.relations)), p)
+            T = _truncation(M, p)
+            coh = dict.fromkeys(coh, 0) if T is None else _spectral_sequence(T, p)[0]
+        entry = M._cohomology[p] = (coh, image)
     return entry
+
+
+def _truncation(M: QuotientModule, p: Multidegree) -> QuotientModule | None:
+    """M_{>=e} for e the componentwise max of p + (1, ..., 1) and the
+    generator degrees of M's free module, or None when it is zero.
+
+    Since e is at least every generator degree, M_{>=e} is generated by M_e
+    (a monomial of degree d >= e factors through degree e), so it is
+    presented on the standard monomials of M_e modulo their syzygies with
+    M's relations, read off one syzygy_module call.  M / M_{>=e} is
+    B-torsion, so the sheaves agree; every summand S(-a) of the resolution
+    has a >= e > p, so each O(p - a) has cohomology in degree |n| only.
+    """
+    e = tuple(c + 1 for c in p)
+    for g in M.free.gen_degrees:
+        e = vmax(e, g)
+    basis = [ModuleElement(M.free, {term_key(K, pos): 1}) for pos, K in M.graded_basis(e)]
+    if not basis:
+        return None
+    m = len(basis)
+    G = FreeModule(M.ring, [e] * m)
+    relations = [
+        ModuleElement(G, {t: c for t, c in s.terms.items() if term_pos(t) < m})
+        for s in syzygy_module(basis + M.relations.gens)
+    ]
+    return QuotientModule(G, Submodule(G, relations))
 
 
 def _spectral_sequence(
@@ -525,44 +549,26 @@ def local_cohomology_dim_fast(
     M: QuotientModule | Submodule,
     i: int,
     p: Sequence[int],
-) -> tuple[int, bool, bool]:
-    """dim H^i_B(M)_p, exactly when the spectral sequence determines it.
+) -> int:
+    """dim H^i_B(M)_p, exactly, from the memo entry of the twist p.
 
-    Returns (dim, exact, stabilized).  For i >= 2 the value equals
-    h^{i-1}(X, M~(p)); for i = 1 and B-saturated M it equals
-    h^0(M~(p)) - HF(M, p), with HF(M, p) read as the Euler characteristic
-    of the degree-p strand of M's resolution.  Both are exact when
-    ``sheaf_cohomology_exact(M, p)`` determines the relevant diagonal.
-    Otherwise the Ext colimit heuristic is used, up to t = ``_T_MAX``.  An
-    ideal I is read as S/I; a FreeComplex is refused with TypeError.
-
-    The answer is memoised on M in the twist's entry (see _twist_entry),
-    beside the engine's value and HF(M, p): every i at one twist shares one
-    run of the engine, and the Ext colimit runs at most once per (i, p).
+    For i >= 2 the value is h^{i-1}(X, M~(p)).  For i = 1 it is h^0(M~(p))
+    minus the dimension of the image of M_p in H^0(M~(p)), and for i = 0
+    the kernel of that map, HF(M, p) minus the same image (see
+    _twist_entry).  A negative i is refused with ValueError.  An ideal I is
+    read as S/I; a FreeComplex is refused with TypeError.  Every i at one
+    twist shares one memo entry on M, so the engine runs once per twist.
     """
     M = _as_quotient(M)
     p = tuple(p)
-    entry = _twist_entry(M, p)
-    answer = entry[2].get(i)
-    if answer is None:
-        answer = entry[2][i] = _answer(M, i, p, entry)
-    return answer
-
-
-def _answer(M: QuotientModule, i: int, p: Multidegree, entry) -> tuple[int, bool, bool]:
-    """The value of local_cohomology_dim_fast, from the twist's memo entry
-    or, where the engine leaves it undetermined, the Ext colimit."""
-    coh, hf, _ = entry
+    coh, image = _twist_entry(M, p)
     if i >= 2:
-        val = coh.get(i - 1, 0)
-        if val is not None:
-            return val, True, True
-    elif i == 1:
-        h0 = coh.get(0)
-        if h0 is not None and h0 >= hf:
-            return h0 - hf, True, True
-    val, stab = local_cohomology_dim(M, i, p)
-    return val, False, stab
+        return coh.get(i - 1, 0)
+    if i == 1:
+        return coh[0] - image
+    if i == 0:
+        return hilbert_function(M, p) - image
+    raise ValueError(f"local cohomology index must be at least 0, got {i}")
 
 
 def regularity_check(
@@ -579,19 +585,15 @@ def regularity_check(
     the shifted-region form of multigraded regularity; the strict regions
     are genuinely more demanding (for instance they probe twists below d in
     one factor), and several classical examples satisfy only the default
-    condition.  A nonzero witness that the spectral sequence determines
-    refutes d for the chosen regions exactly; one from the Ext-colimit
-    fallback rests on its stabilization heuristic.  The report's
-    ``heuristic`` lists every checked cell (i, p) whose value came from the
-    fallback, zero or not.  An empty failure list means
-    "consistent-in-window" only.  The Ext-colimit fallback reads exponents
-    t up to ``_T_MAX``.
+    condition.  Every value is exact (local_cohomology_dim_fast), so a
+    nonzero witness refutes d for the chosen regions, and an empty failure
+    list means "consistent-in-window": nothing is checked outside it.
 
     The cells (i, p) are built once per distinct region (in the default
     mode every i shares one box) and read in order of ascending twist, then
-    ascending i.  Each answer comes from the per-twist memo of
-    local_cohomology_dim_fast on M, so further candidates and windows on one
-    module run the engine and the Ext colimit only at cells not asked before.
+    ascending i.  Each answer comes from the per-twist memo on M, so
+    further candidates and windows on one module run the engine only at
+    twists not asked before.
     """
     M = _as_quotient(M)
     ring = M.ring
@@ -638,20 +640,14 @@ def regularity_check(
             for p in _box(plo, hi):
                 needed.setdefault(p, set()).update(ii)
         twists = [(p, sorted(needed[p])) for p in sorted(needed)]
-    failures = []
-    unstabilized = []
-    heuristic = []
-    for p, ii in twists:
-        for i in ii:
-            dim, exact, stab = local_cohomology_dim_fast(M, i, p)
-            if not exact:
-                heuristic.append((i, p))
-                if not stab:
-                    unstabilized.append((i, p))
-            if dim:
-                failures.append((i, p, dim))
+    failures = [
+        (i, p, dim)
+        for p, ii in twists
+        for i in ii
+        if (dim := local_cohomology_dim_fast(M, i, p))
+    ]
     verdict = "refuted" if failures else "consistent-in-window"
-    return RegularityReport(d, (lo, hi), failures, verdict, unstabilized, heuristic)
+    return RegularityReport(d, (lo, hi), failures, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -659,15 +655,15 @@ def regularity_check(
 
 
 def _delta_twists(n: tuple[int, ...], i: int) -> set[Multidegree]:
+    """The twists -a with 1 <= a_k <= n_k + 1 and |a| = r + i - 1: a = q + 1
+    for the weak compositions q of i - 1 with q_k <= n_k."""
     if i == 0:
         return {(0,) * len(n)}
-    r = len(n)
-    target = r + i - 1
-    out = set()
-    for a in itertools.product(*[range(1, ni + 2) for ni in n]):
-        if sum(a) == target:
-            out.add(tuple(-c for c in a))
-    return out
+    return {
+        tuple(-1 - c for c in q)
+        for q in _weak_compositions(i - 1, len(n))
+        if all(map(le, q, n))
+    }
 
 
 def delta_set(ring_or_n, i: int) -> set[Multidegree]:
@@ -755,7 +751,8 @@ def beilinson_shape(
     computed by additivity over a free resolution of M and the per-factor
     Koszul recursion for chi(Omega^u(t)).  With ``verify_vanishing`` it
     checks H^q_B(M)_d = 0 for q >= 2 through local_cohomology_dim_fast, which
-    runs the exact engine once for the twist d.
+    runs the exact engine once for the twist d, and its truncation when the
+    twist leaves a diagonal undetermined: the flag is exact.
     """
     M = _as_quotient(M)
     n = _dims(M.ring)
@@ -778,10 +775,5 @@ def beilinson_shape(
             blocks.setdefault(sum(u), {})[vadd(d, u)] = rank
     verified = None
     if verify_vanishing:
-        verified = True
-        for q in range(2, sum(n) + 2):
-            dim, _, _ = local_cohomology_dim_fast(M, q, d)
-            if dim:
-                verified = False
-                break
+        verified = not any(local_cohomology_dim_fast(M, q, d) for q in range(2, sum(n) + 2))
     return BeilinsonShape(d, blocks, verified)

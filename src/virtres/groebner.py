@@ -431,7 +431,7 @@ class GroebnerEngine:
 class GroebnerBasis:
     """A reduced Groebner basis of a submodule, with normal-form service."""
 
-    __slots__ = ("module", "elements", "_index", "_term_nf")
+    __slots__ = ("module", "elements", "_index")
 
     def __init__(self, module: FreeModule, elements: list[ModuleElement]):
         self.module = module
@@ -439,7 +439,6 @@ class GroebnerBasis:
         self._index = LeadIndex(module.ring)
         for e in elements:
             self._index.add(e.terms)
-        self._term_nf: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -458,17 +457,6 @@ class GroebnerBasis:
 
     def normal_form(self, elt: ModuleElement) -> ModuleElement:
         return ModuleElement(self.module, self._index.reduce(dict(elt.terms), full=True))
-
-    def term_normal_form(self, tkey: int) -> tuple[tuple[int, int], ...]:
-        """Normal form of the monic term ``tkey`` as (term key, coeff) pairs.
-
-        Memoised: the basis never changes after it is built, so each term is
-        reduced once.  The value is a tuple so that no caller can alter it.
-        """
-        nf = self._term_nf.get(tkey)
-        if nf is None:
-            nf = self._term_nf[tkey] = tuple(self._index.reduce({tkey: 1}, full=True).items())
-        return nf
 
     def contains(self, elt: ModuleElement) -> bool:
         # top reduction decides membership: it stops at an irreducible lead

@@ -130,9 +130,7 @@ def free_rank_one(ring: RingSpec) -> FreeModule:
 class QuotientModule:
     """A cokernel presentation F / W with W a submodule of the free module F."""
 
-    __slots__ = (
-        "free", "relations", "_resolution", "_graded_bases", "_hom_ranks", "_cohomology",
-    )
+    __slots__ = ("free", "relations", "_resolution", "_graded_bases", "_cohomology")
 
     def __init__(self, free: FreeModule, relations: Submodule):
         if relations.module != free:
@@ -141,15 +139,9 @@ class QuotientModule:
         self.relations = relations
         self._resolution = None
         self._graded_bases: dict[Multidegree, tuple[tuple[int, int], ...]] = {}
-        # ranks of the Ext-colimit's Hom maps, keyed on (t, k, b); see cohomology
-        self._hom_ranks: dict[tuple[int, int, Multidegree], int] = {}
-        # per twist p: the exact engine's {k: h^k or None}, HF(M, p), and the
-        # answers (dim, exact, stabilized) of H^i_B(M)_p keyed on i, the Ext
-        # colimit's included; see cohomology._twist_entry
-        self._cohomology: dict[
-            Multidegree,
-            tuple[dict[int, int | None], int, dict[int, tuple[int, bool, bool]]],
-        ] = {}
+        # per twist p: {k: h^k(M~(p))} and the dimension of the image of M_p
+        # in H^0(M~(p)); see cohomology._twist_entry
+        self._cohomology: dict[Multidegree, tuple[dict[int, int], int]] = {}
 
     @classmethod
     def cyclic(cls, I: Submodule) -> "QuotientModule":

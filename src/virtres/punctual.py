@@ -36,6 +36,7 @@ from .ring import (
     Polynomial,
     RingSpec,
     SparseRow,
+    _weak_compositions,
     axpy,
     echelon_mod_p,
     vadd,
@@ -214,14 +215,10 @@ _EVAL_EXP_TOTAL = 3
 def _evaluation_ideal(ring: RingSpec, flats: list[tuple[int, ...]]) -> Submodule:
     """Forms of bounded monomial support vanishing at the points, saturated."""
     by_degree: dict[Multidegree, list[int]] = {}
-    for exps in itertools.product(range(_EVAL_EXP_TOTAL + 1), repeat=ring.nvars):
-        if sum(exps) > _EVAL_EXP_TOTAL or sum(exps) == 0:
-            continue
-        d = tuple(
-            sum(e * dg[i] for e, dg in zip(exps, ring.var_degrees))
-            for i in range(ring.rank_grading)
-        )
-        by_degree.setdefault(d, []).append(ring.codec.encode(exps))
+    for total in range(1, _EVAL_EXP_TOTAL + 1):
+        for exps in _weak_compositions(total, ring.nvars):
+            key = ring.codec.encode(exps)
+            by_degree.setdefault(ring.mono_degree(key), []).append(key)
     gens: list[Polynomial] = []
     for keys in by_degree.values():
         gens += _vanishing_forms(ring, keys, flats)

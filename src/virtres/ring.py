@@ -284,6 +284,10 @@ class RingSpec:
         if var_names is None:
             var_names = [f"y{j}" for j in range(self.nvars)]
         self.var_names = tuple(var_names)
+        if len(self.var_names) != self.nvars:
+            raise ValueError(
+                f"{len(self.var_names)} variable names for {self.nvars} variables"
+            )
         self.weights = _positive_weights(self.var_degrees)
         per_var = tuple(
             sum(w * c for w, c in zip(self.weights, d)) for d in self.var_degrees

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -349,18 +350,21 @@ def test_reg_check_exit_codes(capsys):
     assert "refuted" in out
 
 
-def test_reg_check_names_heuristic_witnesses(capsys):
-    # 10 of the curve's 16 witnesses at (0,0) come from the Ext colimit
+def test_reg_check_prints_every_witness(capsys):
+    # the curve's 16 witnesses at (0,0), every one an exact dimension
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0"]) == 1
     lines = capsys.readouterr().out.splitlines()
     witnesses = [line for line in lines if "witness:" in line]
     assert len(witnesses) == 16
-    assert sum(line.endswith(" (Ext colimit)") for line in witnesses) == 10
+    pattern = r"  witness: H\^\d at \(-?\d+, -?\d+\) has dimension \d+"
+    assert all(re.fullmatch(pattern, line) for line in witnesses)
     assert "  witness: H^2 at (1, 0) has dimension 3" in witnesses
+    assert "  witness: H^1 at (0, 1) has dimension 2" in witnesses
     assert main(["reg-check", "--ideal", CURVE_VR, "--degree", "0,0", "--json"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert len(out["failures"]) == 16 and len(out["heuristic"]) == 16
-    assert {"i": 1, "p": [0, 1]} in out["heuristic"]
+    assert sorted(out) == ["candidate", "failures", "verdict", "window"]
+    assert len(out["failures"]) == 16
+    assert {"i": 1, "p": [0, 1], "dim": 2} in out["failures"]
 
 
 def test_points_command_seed_echo(capsys):
@@ -421,6 +425,23 @@ def test_oversized_ring_exit_2(tmp_path, capsys):
     bad.write_text("ring P(1,20000)\nideal I = x(1,0)\n")
     assert main(["res", "--ideal", str(bad)]) == 2
     assert "1 to 1000 variables, got 20003" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names", ["y0,y1,y,2,y3", "y0,y1,y2"], ids=["one-too-many", "one-too-few"]
+)
+def test_custom_ring_with_wrong_name_count_exit_2(tmp_path, capsys, names):
+    # five names or three for four variables: refused while parsing, with
+    # no traceback and no variable silently dropped from printed polynomials
+    bad = tmp_path / "bad.vr"
+    bad.write_text(
+        "ring custom degrees [(1,0),(1,0),(-2,1),(0,1)] primes [[0,1],[2,3]] "
+        f"names {names}\nideal J = y0*y3\n"
+    )
+    assert main(["res", "--ideal", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err
+    assert f"{len(names.split(','))} variable names for 4 variables" in err
 
 
 @pytest.mark.parametrize("char", [32002, 1])

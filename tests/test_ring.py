@@ -273,6 +273,14 @@ def test_variable_count_is_bounded():
         RingSpec.custom([], [], char=101)
 
 
+@pytest.mark.parametrize("names", [["a", "b", "c"], ["a", "b", "c", "d", "e"]])
+def test_variable_name_count_must_match(names):
+    degrees, primes = [(1, 0), (1, 0), (-2, 1), (0, 1)], [[0, 1], [2, 3]]
+    with pytest.raises(ValueError, match=f"{len(names)} variable names for 4 variables"):
+        RingSpec.custom(degrees, primes, char=101, var_names=names)
+    assert RingSpec.custom(degrees, primes, char=101, var_names="abcd").var_names == tuple("abcd")
+
+
 def _rank_oracle(rows, p):
     """Rank over F_p by forward elimination in Python ints."""
     rows = [[x % p for x in row] for row in rows]
