@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable, TypeVar
 
 from .cohomology import beilinson_shape, regularity_check
 from .complexes import (
@@ -106,6 +107,9 @@ class JobSpec:
     ideals: dict[str, Submodule] = field(default_factory=dict)
 
 
+_T = TypeVar("_T")
+
+
 class _Parser:
     def __init__(self, text: str, default_char: int):
         self.text = text
@@ -181,12 +185,7 @@ class _Parser:
         t = self.next()
         k = self.pos - 1
         if t == "P":
-            self.expect("(")
-            dims = [self.expect_int()]
-            while self.peek() == ",":
-                self.next()
-                dims.append(self.expect_int())
-            self.expect(")")
+            dims = self.group("(", self.expect_int, ")")
             char = self.parse_char()
             try:
                 return RingSpec.product(dims, char=char)
@@ -200,10 +199,7 @@ class _Parser:
             names = None
             if self.peek() == "names":
                 self.next()
-                names = [self.next()]
-                while self.peek() == ",":
-                    self.next()
-                    names.append(self.next())
+                names = self.items(self.next)
             char = self.parse_char()
             try:
                 return RingSpec.custom(degrees, primes, char=char, var_names=names)
@@ -218,33 +214,34 @@ class _Parser:
         return self.default_char
 
     def parse_tuple_list(self) -> list[tuple[int, ...]]:
-        self.expect("[")
-        out = []
-        while True:
-            self.expect("(")
-            vec = [self.signed_int()]
-            while self.peek() == ",":
-                self.next()
-                vec.append(self.signed_int())
-            self.expect(")")
-            out.append(tuple(vec))
-            t = self.next()
-            if t == "]":
-                return out
-            if t != ",":
-                raise self.error(f"expected ',' or ']', found {t!r}", self.pos - 1)
+        return self.bracketed(lambda: tuple(self.group("(", self.signed_int, ")")))
 
     def parse_int_list_list(self) -> list[list[int]]:
+        return self.bracketed(lambda: self.group("[", self.expect_int, "]"))
+
+    # -- comma lists -----------------------------------------------------------
+
+    def items(self, read: Callable[[], _T]) -> list[_T]:
+        """item {, item}, each item read by ``read``."""
+        out = [read()]
+        while self.peek() == ",":
+            self.next()
+            out.append(read())
+        return out
+
+    def group(self, open_: str, read: Callable[[], _T], close: str) -> list[_T]:
+        """open item {, item} close."""
+        self.expect(open_)
+        out = self.items(read)
+        self.expect(close)
+        return out
+
+    def bracketed(self, read: Callable[[], _T]) -> list[_T]:
+        """[ group {, group} ], each group read by ``read``."""
         self.expect("[")
         out = []
         while True:
-            self.expect("[")
-            vec = [self.expect_int()]
-            while self.peek() == ",":
-                self.next()
-                vec.append(self.expect_int())
-            self.expect("]")
-            out.append(vec)
+            out.append(read())
             t = self.next()
             if t == "]":
                 return out
@@ -256,11 +253,7 @@ class _Parser:
     # leave self.pos after what they read
 
     def parse_poly_list(self, ring: RingSpec) -> list[Polynomial]:
-        gens = [self.parse_poly(ring)]
-        while self.peek() == ",":
-            self.next()
-            gens.append(self.parse_poly(ring))
-        return gens
+        return self.items(lambda: self.parse_poly(ring))
 
     def parse_poly(self, ring: RingSpec) -> Polynomial:
         toks, n = self.toks, len(self.toks)

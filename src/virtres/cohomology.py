@@ -432,9 +432,11 @@ def _truncation(M: QuotientModule, p: Multidegree) -> QuotientModule | None:
     Since e is at least every generator degree, M_{>=e} is generated by M_e
     (a monomial of degree d >= e factors through degree e), so it is
     presented on the standard monomials of M_e modulo their syzygies with
-    M's relations, read off one syzygy_module call.  M / M_{>=e} is
-    B-torsion, so the sheaves agree; every summand S(-a) of the resolution
-    has a >= e > p, so each O(p - a) has cohomology in degree |n| only.
+    M's relations, read off one syzygy_module call.  They need not be
+    minimal: free_resolution keeps a minimal subset at its first level.
+    M / M_{>=e} is B-torsion, so the sheaves agree; every summand S(-a) of
+    the resolution has a >= e > p, so each O(p - a) has cohomology in
+    degree |n| only.
     """
     e = tuple(c + 1 for c in p)
     for g in M.free.gen_degrees:
@@ -446,7 +448,7 @@ def _truncation(M: QuotientModule, p: Multidegree) -> QuotientModule | None:
     G = FreeModule(M.ring, [e] * m)
     relations = [
         ModuleElement(G, {t: c for t, c in s.terms.items() if term_pos(t) < m})
-        for s in syzygy_module(basis + M.relations.gens)
+        for s in syzygy_module(basis + M.relations.gens, minimalize=False)
     ]
     return QuotientModule(G, Submodule(G, relations))
 

@@ -247,7 +247,7 @@ def free_resolution(M: QuotientModule | Submodule) -> FreeComplex:
         raise RuntimeError("resolution did not terminate within the length cap")
     if cut:
         terms, maps = terms[1:] or [FreeModule(ring, [])], maps[1:]
-    out = FreeComplex(terms, maps)
+    out = FreeComplex(terms, maps, validate=False)
     if not cut:
         M._resolution = out
     return out
@@ -452,7 +452,7 @@ def virtual_of_pair(
             "virtual resolution of the pair did not terminate; "
             f"{d} is likely not in the multigraded regularity of the module"
         )
-    out = FreeComplex(terms, maps)
+    out = FreeComplex(terms, maps, validate=False)
     if check:
         ok, report = is_virtual(out, M)
         if not ok:

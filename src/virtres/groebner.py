@@ -4,6 +4,8 @@ Elements of a free module ``F = (+)_j S(-a_j)`` are dicts mapping packed
 term keys to coefficients.  A term key stacks the packed monomial key above
 a complemented position field, so plain integer comparison realises the
 term-over-position order induced by the ring's weighted grevlex.
+Their arithmetic and degree checks are the sparse-element core that
+``ring.Polynomial`` uses too, with keys shifted up by ``POS_BITS``.
 
 Inputs enter an engine only through ``_add_by_degree``, in degree order:
 each is top-reduced by the basis completed up to its degree and kept only
@@ -20,7 +22,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from .ring import EXP_MAX, Multidegree, Polynomial, RingSpec, axpy, vadd
+from .ring import Multidegree, Polynomial, RingSpec, _SparseElement, axpy, vadd
 
 POS_BITS = 20
 POS_MAX = (1 << POS_BITS) - 1
@@ -93,8 +95,12 @@ class FreeModule:
         return f"FreeModule(rank {self.rank})"
 
 
-class ModuleElement:
-    __slots__ = ("module", "terms")
+class ModuleElement(_SparseElement):
+    """Element of a FreeModule: dict mapping packed term key -> coeff."""
+
+    __slots__ = ("module",)
+    _bits = POS_BITS
+    _noun = "element"
 
     def __init__(self, module: FreeModule, terms: dict[int, int]):
         self.module = module
@@ -104,11 +110,11 @@ class ModuleElement:
     def ring(self) -> RingSpec:
         return self.module.ring
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms: dict[int, int]) -> "ModuleElement":
+        return ModuleElement(self.module, terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _space(self) -> FreeModule:
+        return self.module
 
     def coordinate(self, pos: int) -> Polynomial:
         ring = self.ring
@@ -129,63 +135,6 @@ class ModuleElement:
         t = max(self.terms)
         return t, self.terms[t]
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
-        d = dict(self.terms)
-        axpy(d, 1, other.terms, 0, self.ring.char)
-        return ModuleElement(self.module, d)
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        d = dict(self.terms)
-        axpy(d, -1, other.terms, 0, self.ring.char)
-        return ModuleElement(self.module, d)
-
-    def __neg__(self) -> "ModuleElement":
-        p = self.ring.char
-        return ModuleElement(self.module, {t: p - c for t, c in self.terms.items()})
-
-    def scale(self, c: int) -> "ModuleElement":
-        p = self.ring.char
-        c %= p
-        if not c:
-            return self.module.zero()
-        return ModuleElement(self.module, {t: (c * v) % p for t, v in self.terms.items()})
-
-    def mono_mul(self, key: int, coeff: int = 1) -> "ModuleElement":
-        ring = self.ring
-        p = ring.char
-        coeff %= p
-        if not coeff or not self.terms:
-            return self.module.zero()
-        if ring.codec.wdeg(term_mono(max(self.terms))) + ring.codec.wdeg(key) > EXP_MAX:
-            raise OverflowError("weighted degree exceeds packed-monomial capacity")
-        shift = (key - ring.codec.C0) << POS_BITS
-        return ModuleElement(
-            self.module, {t + shift: (c * coeff) % p for t, c in self.terms.items()}
-        )
-
-    def poly_mul(self, poly: Polynomial) -> "ModuleElement":
-        ring = self.ring
-        if not self.terms or not poly.terms:
-            return self.module.zero()
-        wdeg = ring.codec.wdeg
-        if wdeg(term_mono(max(self.terms))) + wdeg(max(poly.terms)) > EXP_MAX:
-            raise OverflowError("weighted degree exceeds packed-monomial capacity")
-        C0 = ring.codec.C0
-        d: dict[int, int] = {}
-        for k, c in poly.terms.items():
-            axpy(d, c, self.terms, (k - C0) << POS_BITS, ring.char)
-        return ModuleElement(self.module, d)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ModuleElement)
-            and self.module == other.module
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     # -- grading -------------------------------------------------------------
 
     def _degrees(self) -> set[Multidegree]:
@@ -195,18 +144,6 @@ class ModuleElement:
         pairs = {(mono_degree(term_mono(t)), term_pos(t)) for t in self.terms}
         gen_degrees = self.module.gen_degrees
         return {vadd(d, gen_degrees[pos]) for d, pos in pairs}
-
-    def is_homogeneous(self) -> bool:
-        return len(self._degrees()) <= 1
-
-    def multidegree(self) -> Multidegree:
-        if not self.terms:
-            raise ValueError("the zero element has no multidegree")
-        degs = self._degrees()
-        if len(degs) > 1:
-            w = sorted(degs)[:2]
-            raise ValueError(f"inhomogeneous element: degrees {w[0]} and {w[1]} both occur")
-        return next(iter(degs))
 
     def _degree(self) -> Multidegree:
         """The degree of one term: the multidegree of a nonzero element known

@@ -416,29 +416,17 @@ def koszul_pair_for_points(
     k = m // 2
     flats = [_flat_coords(ring, pt) for pt in config.points]
     low = _vanishing_forms(ring, ring.monomials_of_degree((1, k)), flats)
+    f = g = None
     if m % 2 == 0:
-        if len(low) < 2:
-            raise ValueError(
-                "insufficient vanishing sections (non-generic configuration)"
-            )
-        f, g = low[0], low[1]
-    else:
-        if not low:
-            raise ValueError(
-                "insufficient vanishing sections (non-generic configuration)"
-            )
+        if len(low) >= 2:
+            f, g = low[0], low[1]
+    elif low:
         f = low[0]
         fI = ideal(ring, [f])
         high = _vanishing_forms(ring, ring.monomials_of_degree((1, k + 1)), flats)
-        g = None
-        for cand in high:
-            if not fI.contains(fI.module.wrap(cand)):
-                g = cand
-                break
-        if g is None:
-            raise ValueError(
-                "insufficient vanishing sections (non-generic configuration)"
-            )
+        g = next((c for c in high if not fI.contains(fI.module.wrap(c))), None)
+    if g is None:
+        raise ValueError("insufficient vanishing sections (non-generic configuration)")
     F0 = ideal(ring, []).module
     syz = syzygy_module([F0.wrap(f), F0.wrap(g)])
     if len(syz) != 1 or syz[0]._degree() != vadd(

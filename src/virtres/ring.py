@@ -27,6 +27,11 @@ coprimality (their field-wise max is ``C0``) are masked word operations
 with no per-variable loop.  ``C0 - comp`` holds e_j in field j with no
 borrow between fields, so decoding reads those fields as little-endian
 16-bit words.
+
+``Polynomial`` and ``groebner.ModuleElement`` share one sparse-element core,
+``_SparseElement``: sums, differences, negation, scaling, products by a
+monomial or a polynomial (each with one capacity guard), equality, hashing
+and the degree checks.  All their term arithmetic is ``axpy``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import struct
 from functools import lru_cache
 from math import comb, isqrt
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 Multidegree = tuple[int, ...]
 
@@ -484,17 +489,26 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# sparse elements: the core that polynomials and module elements share
+
+_CAPACITY = "weighted degree exceeds packed-monomial capacity"
+_E = TypeVar("_E", bound="_SparseElement")
 
 
-class Polynomial:
-    """Element of a RingSpec: dict mapping packed monomial key -> coeff."""
+class _SparseElement:
+    """The arithmetic shared by ``Polynomial`` and ``ModuleElement``.
 
-    __slots__ = ("ring", "terms")
+    ``terms`` maps packed keys to coefficients in 1..p-1.  A key is a
+    monomial key shifted up by the class constant ``_bits`` (a module
+    element keeps its position field below), so the monomial of key t is
+    ``t >> _bits`` and multiplying by the monomial K adds
+    ``(K - C0) << _bits`` to every key.  A subclass supplies ``ring``,
+    ``_bits``, ``_noun`` (the word of its error messages), ``_new(terms)``
+    (an element of the same ring or module), ``_space()`` (the ring or
+    module that equality compares) and ``_degrees()``.
+    """
 
-    def __init__(self, ring: RingSpec, terms: dict[int, int]):
-        self.ring = ring
-        self.terms = terms
+    __slots__ = ("terms",)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -502,60 +516,111 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self: _E, other: _E) -> _E:
         d = dict(self.terms)
         axpy(d, 1, other.terms, 0, self.ring.char)
-        return Polynomial(self.ring, d)
+        return self._new(d)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self: _E, other: _E) -> _E:
         d = dict(self.terms)
         axpy(d, -1, other.terms, 0, self.ring.char)
-        return Polynomial(self.ring, d)
+        return self._new(d)
 
-    def __neg__(self) -> "Polynomial":
+    def __neg__(self: _E) -> _E:
         p = self.ring.char
-        return Polynomial(self.ring, {k: p - c for k, c in self.terms.items()})
+        return self._new({k: p - c for k, c in self.terms.items()})
 
-    def scale(self, c: int) -> "Polynomial":
+    def scale(self: _E, c: int) -> _E:
         p = self.ring.char
         c %= p
         if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, {k: (c * v) % p for k, v in self.terms.items()})
+            return self._new({})
+        return self._new({k: (c * v) % p for k, v in self.terms.items()})
 
-    def mono_mul(self, key: int, coeff: int = 1) -> "Polynomial":
+    def mono_mul(self: _E, key: int, coeff: int = 1) -> _E:
         """Multiply by a single monomial (packed key) and a coefficient."""
         ring = self.ring
         p = ring.char
         coeff %= p
         if not coeff or not self.terms:
-            return ring.zero()
-        if ring.codec.wdeg(max(self.terms)) + ring.codec.wdeg(key) > EXP_MAX:
-            raise OverflowError("weighted degree exceeds packed-monomial capacity")
-        shift = key - ring.codec.C0
-        return Polynomial(ring, {k + shift: (c * coeff) % p for k, c in self.terms.items()})
+            return self._new({})
+        codec = ring.codec
+        if codec.wdeg(max(self.terms) >> self._bits) + codec.wdeg(key) > EXP_MAX:
+            raise OverflowError(_CAPACITY)
+        shift = (key - codec.C0) << self._bits
+        return self._new({k + shift: (c * coeff) % p for k, c in self.terms.items()})
+
+    def poly_mul(self: _E, poly: Polynomial) -> _E:
+        """The product with a polynomial: one axpy of ``self`` per term of
+        ``poly``."""
+        ring = self.ring
+        if not self.terms or not poly.terms:
+            return self._new({})
+        codec, bits, p = ring.codec, self._bits, ring.char
+        if codec.wdeg(max(self.terms) >> bits) + codec.wdeg(max(poly.terms)) > EXP_MAX:
+            raise OverflowError(_CAPACITY)
+        C0 = codec.C0
+        d: dict[int, int] = {}
+        for k, c in poly.terms.items():
+            axpy(d, c, self.terms, (k - C0) << bits, p)
+        return self._new(d)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    # -- grading -------------------------------------------------------------
+
+    def is_homogeneous(self) -> bool:
+        return len(self._degrees()) <= 1
+
+    def multidegree(self) -> Multidegree:
+        if not self.terms:
+            raise ValueError(f"the zero {self._noun} has no multidegree")
+        degs = self._degrees()
+        if len(degs) > 1:
+            w = sorted(degs)[:2]
+            raise ValueError(f"inhomogeneous {self._noun}: degrees {w[0]} and {w[1]} both occur")
+        return next(iter(degs))
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+
+class Polynomial(_SparseElement):
+    """Element of a RingSpec: dict mapping packed monomial key -> coeff."""
+
+    __slots__ = ("ring",)
+    _bits = 0
+    _noun = "polynomial"
+
+    def __init__(self, ring: RingSpec, terms: dict[int, int]):
+        self.ring = ring
+        self.terms = terms
+
+    def _new(self, terms: dict[int, int]) -> "Polynomial":
+        return Polynomial(self.ring, terms)
+
+    def _space(self) -> RingSpec:
+        return self.ring
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return self.scale(other)
-        ring = self.ring
-        p = ring.char
-        if not self.terms or not other.terms:
-            return ring.zero()
-        wmax = ring.codec.wdeg(max(self.terms)) + ring.codec.wdeg(max(other.terms))
-        if wmax > EXP_MAX:
-            raise OverflowError("weighted degree exceeds packed-monomial capacity")
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        C0 = ring.codec.C0
-        d: dict[int, int] = {}
-        for k2, c2 in b.items():
-            axpy(d, c2, a, k2 - C0, p)
-        return Polynomial(ring, d)
+        # one axpy per term of the shorter factor
+        if len(self.terms) < len(other.terms):
+            return other.poly_mul(self)
+        return self.poly_mul(other)
 
     def __rmul__(self, other) -> "Polynomial":
         if isinstance(other, int):
@@ -574,32 +639,8 @@ class Polynomial:
             n >>= 1
         return out
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    # -- grading -------------------------------------------------------------
-
     def _degrees(self) -> set[Multidegree]:
         return set(map(self.ring.mono_degree, self.terms))
-
-    def is_homogeneous(self) -> bool:
-        return len(self._degrees()) <= 1
-
-    def multidegree(self) -> Multidegree:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no multidegree")
-        degs = self._degrees()
-        if len(degs) > 1:
-            witness = sorted(degs)[:2]
-            raise ValueError(f"inhomogeneous polynomial: degrees {witness[0]} and {witness[1]} both occur")
-        return next(iter(degs))
 
     # -- display -------------------------------------------------------------
 

@@ -424,9 +424,17 @@ def _eadd(e1, e2):
     return tuple(a + b for a, b in zip(e1, e2))
 
 
-@given(exponent_polys(R7), exponent_polys(R7))
+# a scalar or monomial coefficient, 0 and multiples of 7 included
+SCALARS = st.integers(-15, 15)
+EXPONENTS = st.tuples(*[st.integers(0, 2)] * R7.nvars)
+
+
+@given(exponent_polys(R7), exponent_polys(R7), SCALARS, EXPONENTS, SCALARS)
+# scaling and a monomial product by 0
+@example({(1, 0, 0, 0): 3}, {(0, 1, 0, 0): 4}, 0, (0, 0, 1, 0), 0)
+@example({(1, 0, 0, 0): 3}, {(0, 1, 0, 0): 4}, 14, (0, 0, 1, 0), -7)
 @settings(max_examples=200, deadline=None)
-def test_polynomial_arithmetic_against_dense_oracle(a, b):
+def test_polynomial_arithmetic_against_dense_oracle(a, b, c, m, cm):
     p = R7.char
     fa, fb = _poly(R7, a), _poly(R7, b)
     assert _decoded(R7, fa + fb) == _dense_oracle(p, [*a.items(), *b.items()])
@@ -435,25 +443,51 @@ def test_polynomial_arithmetic_against_dense_oracle(a, b):
     assert _decoded(R7, fa * fb) == _dense_oracle(
         p, [(_eadd(e1, e2), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()]
     )
+    assert _decoded(R7, -fa) == _dense_oracle(p, [(e, -v) for e, v in a.items()])
+    assert _decoded(R7, fa.scale(c)) == _dense_oracle(p, [(e, c * v) for e, v in a.items()])
+    assert _decoded(R7, fa.mono_mul(R7.codec.encode(m), cm)) == _dense_oracle(
+        p, [(_eadd(e, m), cm * v) for e, v in a.items()]
+    )
 
 
-@given(
-    st.dictionaries(st.integers(0, 2), exponent_polys(R7), max_size=3),
-    exponent_polys(R7),
-)
-# (x0 + x1) e1 * (x0 - x1): the cross terms cancel
-@example({1: {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}}, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 6})
-@settings(max_examples=200, deadline=None)
-def test_module_poly_mul_against_dense_oracle(coords, b):
-    F = FreeModule(R7, [(0, 0), (1, 0), (0, 1)])
+def _element(F, coords):
     encode = R7.codec.encode
-    elt = ModuleElement(
+    return ModuleElement(
         F, {term_key(encode(e), pos): c for pos, a in coords.items() for e, c in a.items()}
     )
-    got = elt.poly_mul(_poly(R7, b))
-    assert all(0 < c < R7.char for c in got.terms.values())
+
+
+def _element_decoded(elt):
+    assert all(0 < c < R7.char for c in elt.terms.values())
+    return {(R7.codec.decode(term_mono(t)), term_pos(t)): c for t, c in elt.terms.items()}
+
+
+def _element_pairs(coords, sign=1):
+    return [((e, pos), sign * c) for pos, a in coords.items() for e, c in a.items()]
+
+
+MODULE_COORDS = st.dictionaries(st.integers(0, 2), exponent_polys(R7), max_size=3)
+
+
+@given(MODULE_COORDS, exponent_polys(R7), MODULE_COORDS, SCALARS, EXPONENTS, SCALARS)
+# (x0 + x1) e1 * (x0 - x1): the cross terms cancel
+@example(
+    {1: {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}},
+    {(1, 0, 0, 0): 1, (0, 1, 0, 0): 6},
+    {1: {(1, 0, 0, 0): 6}},
+    1,
+    (0, 0, 0, 0),
+    1,
+)
+# scaling and a monomial product by 0
+@example({0: {(1, 0, 0, 0): 3}}, {}, {0: {(1, 0, 0, 0): 4}}, 0, (0, 0, 1, 0), 0)
+@settings(max_examples=200, deadline=None)
+def test_module_poly_mul_against_dense_oracle(coords, b, coords2, c, m, cm):
+    F = FreeModule(R7, [(0, 0), (1, 0), (0, 1)])
+    p = R7.char
+    elt, elt2 = _element(F, coords), _element(F, coords2)
     want = _dense_oracle(
-        R7.char,
+        p,
         [
             ((_eadd(e1, e2), pos), c1 * c2)
             for pos, a in coords.items()
@@ -461,7 +495,16 @@ def test_module_poly_mul_against_dense_oracle(coords, b):
             for e2, c2 in b.items()
         ],
     )
-    assert {(R7.codec.decode(term_mono(t)), term_pos(t)): c for t, c in got.terms.items()} == want
+    assert _element_decoded(elt.poly_mul(_poly(R7, b))) == want
+    pairs, pairs2 = _element_pairs(coords), _element_pairs(coords2)
+    assert _element_decoded(elt + elt2) == _dense_oracle(p, pairs + pairs2)
+    assert _element_decoded(elt - elt2) == _dense_oracle(p, pairs + _element_pairs(coords2, -1))
+    assert (elt - elt).terms == {}
+    assert _element_decoded(-elt) == _dense_oracle(p, _element_pairs(coords, -1))
+    assert _element_decoded(elt.scale(c)) == _dense_oracle(p, _element_pairs(coords, c))
+    assert _element_decoded(elt.mono_mul(R7.codec.encode(m), cm)) == _dense_oracle(
+        p, [((_eadd(e, m), pos), cm * v) for (e, pos), v in pairs]
+    )
 
 
 def test_module_poly_mul_overflow_raises():
