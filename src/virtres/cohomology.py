@@ -31,6 +31,7 @@ from .ring import (
     RingSpec,
     SparseRow,
     _weak_compositions,
+    degree_vector,
     echelon_mod_p,
     vadd,
     vmax,
@@ -121,9 +122,7 @@ def line_bundle_cohomology(n, a: Sequence[int]) -> CohomologyProfile:
     (a_i <= -n_i - 1); a factor with a_i strictly between kills everything.
     """
     n = _dims(n)
-    a = tuple(a)
-    if len(a) != len(n):
-        raise ValueError("twist length must match the number of factors")
+    a = degree_vector(a, len(n), "twist")
     pat = _pattern(n, a)
     if pat is None:
         return CohomologyProfile({})
@@ -137,9 +136,7 @@ def line_bundle_cohomology(n, a: Sequence[int]) -> CohomologyProfile:
 def euler_char_line(n, a: Sequence[int]) -> int:
     """chi(O(a)) = prod_i binom(a_i + n_i, n_i) in the polynomial convention."""
     n = _dims(n)
-    a = tuple(a)
-    if len(a) != len(n):
-        raise ValueError("twist length must match the number of factors")
+    a = degree_vector(a, len(n), "twist")
     out = 1
     for ni, ai in zip(n, a):
         out *= binom_poly(ai + ni, ni)
@@ -158,9 +155,9 @@ def sheaf_euler_char(M: QuotientModule | Submodule | FreeComplex, b: Sequence[in
     """chi of the sheafification of M twisted by b, by additivity over a
     free resolution.  An ideal I is read as S/I; a FreeComplex is taken as
     the resolution itself."""
+    n = _dims(M.ring)
+    b = degree_vector(b, len(n), "twist")
     F = M if isinstance(M, FreeComplex) else free_resolution(_as_quotient(M))
-    n = _dims(F.ring)
-    b = tuple(b)
     return _alternating_sum(F, lambda a: euler_char_line(n, vsub(b, a)))
 
 
@@ -257,7 +254,7 @@ def local_cohomology_dim(
     ring = M.ring
     if not ring.is_product:
         raise ValueError("local cohomology requires a product of projective spaces")
-    b = tuple(b)
+    b = degree_vector(b, ring.rank_grading, "twist")
     prev = None
     for t in range(1, t_max + 1):
         val = _ext_dim(M, i, b, t)
@@ -357,19 +354,6 @@ def _cech_basis(
     return sum(pat), basis, {e: k for k, e in enumerate(basis)}
 
 
-def _strand_euler_char(M: QuotientModule, p: Multidegree) -> int:
-    """HF(M, p) as sum_j (-1)^j sum_{a in F_j} dim S_{p-a}, the Euler
-    characteristic of the degree-p strand of M's resolution F.
-
-    Only the engine calls it, once per twist; sheaf_cohomology_exact keeps
-    the value beside the twist's cohomology, where the i = 1 branch of
-    local_cohomology_dim_fast reads it too.
-    """
-    F = free_resolution(M)
-    dim_S = F.ring.hilbert_series_free
-    return _alternating_sum(F, lambda a: dim_S(vsub(p, a)))
-
-
 def sheaf_cohomology_exact(
     M: QuotientModule | Submodule, p: Sequence[int]
 ) -> dict[int, int]:
@@ -377,8 +361,9 @@ def sheaf_cohomology_exact(
 
     Runs the hypercohomology spectral sequence of the twisted minimal free
     resolution F of M (memoised on M), with E1 entries H^q(O(p - a)) for the
-    summands S(-a) of F_j, takes E_2 and reads off each diagonal whose
-    higher differentials are forced to vanish.
+    summands S(-a) of F_j, and takes E_2.  When no higher differential can
+    reach a diagonal k >= 0, the page has degenerated there and h^k is the
+    sum of the diagonal k.
 
     The row q = 0 is the degree-p strand of F, which is exact: E2(0,0) is
     HF(M, p), the strand's Euler characteristic, and E2(j,0) = 0 for j >= 1.
@@ -386,14 +371,13 @@ def sheaf_cohomology_exact(
     bases of H^q(O(c)) as packed integer keys, on which the induced
     multiplication maps are integer shifts.
 
-    When a diagonal is left undetermined, the sequence runs once more on
-    the truncation M_{>=e} (see _truncation), which has the same sheaf and
-    whose E1 page is the single row q = |n|: it degenerates at E_2, so every
-    h^k is determined and the table returned is that one.
+    Otherwise the sequence runs once more on the truncation M_{>=e} (see
+    _truncation), which has the same sheaf and whose E1 page is the single
+    row q = |n|: it degenerates at E_2, and the table returned is that one.
 
-    A twist p - a whose Čech basis is needed and which lies outside the
-    keys' range (some |p_i - a_i| >= 2^30) is refused with ValueError.  A
-    FreeComplex is refused with TypeError, since the closed form needs a
+    A twist of the wrong length, or one whose needed Čech basis lies outside
+    the keys' range (some |p_i - a_i| >= 2^30), is refused with ValueError.
+    A FreeComplex is refused with TypeError, since the closed form needs a
     resolution.  Memoised per twist on M (see _twist_entry), like M's
     resolution and graded bases, and with no size cap: an ideal I reaches
     the one S/I kept on it, and each call returns a fresh dict.  A refused
@@ -405,22 +389,24 @@ def sheaf_cohomology_exact(
 
 def _twist_entry(M: QuotientModule, p: Multidegree) -> tuple[dict[int, int], int]:
     """M's memo entry for the twist p: {k: h^k(M~(p))} and the dimension of
-    the image of M_p in H^0(M~(p)), HF(M / H^0_B(M), p).
+    the image of M_p in H^0(M~(p)), HF(M / H^0_B(M), p), for M = F / W.
 
-    When M's own sequence determines h^0, that image is HF(M, p): a nonzero
-    E2(0,0) = M_p is determined only when no entry of the diagonal -1 could
-    map into it, so H^0_B(M)_p, the kernel of M_p -> H^0, is zero.  When
-    the truncation supplies h^0, it is the Hilbert function of F / (W :
-    B^infinity), and b_saturate returns W itself when W is saturated.
+    When M's own page degenerates, the entry is its table and HF(M, p): no
+    differential reaches E2(0,0) = M_p, so H^0_B(M)_p, the kernel of
+    M_p -> H^0, is zero.  Otherwise it is the truncation's table and the
+    Hilbert function of F / (W : B^infinity), since H^0_B(M) = (W :
+    B^infinity) / W; b_saturate keeps that saturation on W.  A twist of the
+    wrong length is refused here, on a memo miss, so a hit pays no check.
     """
     entry = M._cohomology.get(p)
     if entry is None:
+        degree_vector(p, M.ring.rank_grading, "twist")
         coh, image = _spectral_sequence(M, p)
-        if None in coh.values():
-            if coh[0] is None:
-                image = hilbert_function(QuotientModule(M.free, b_saturate(M.relations)), p)
+        if coh is None:
             T = _truncation(M, p)
-            coh = dict.fromkeys(coh, 0) if T is None else _spectral_sequence(T, p)[0]
+            zero = dict.fromkeys(range(sum(_dims(M.ring)) + 1), 0)
+            coh = zero if T is None else _spectral_sequence(T, p)[0]
+            image = hilbert_function(QuotientModule(M.free, b_saturate(M.relations)), p)
         entry = M._cohomology[p] = (coh, image)
     return entry
 
@@ -455,19 +441,26 @@ def _truncation(M: QuotientModule, p: Multidegree) -> QuotientModule | None:
 
 def _spectral_sequence(
     M: QuotientModule, p: Multidegree
-) -> tuple[dict[int, int | None], int]:
-    """The engine of sheaf_cohomology_exact: ({k: h^k or None}, HF(M, p))."""
+) -> tuple[dict[int, int] | None, int]:
+    """The engine of sheaf_cohomology_exact: ({k: h^k}, HF(M, p)) when no
+    higher differential can act on the diagonals k >= 0 of E_2, else
+    (None, HF(M, p)).
+
+    HF(M, p) = E2(0,0) is the Euler characteristic of the degree-p strand of
+    M's resolution F, sum_j (-1)^j sum_{a in F_j} dim S_{p-a}.
+    """
     n = _dims(M.ring)
     F = free_resolution(M)
     char = F.ring.char
     decode = F.ring.codec.decode
+    dim_S = F.ring.hilbert_series_free
     nterms = len(F.terms)
     # E1 rows q > 0: [j][a] = (q, basis, index map) or None
     summand_data = [
         [_cech_basis(n, vsub(p, a)) for a in term.gen_degrees] for term in F.terms
     ]
     shifts: dict[int, int] = {}  # packed monomial key -> its Laurent shift
-    hf = _strand_euler_char(M, p)
+    hf = _alternating_sum(F, lambda a: dim_S(vsub(p, a)))
     e2: dict[tuple[int, int], int] = {(0, 0): hf} if hf else {}
     qs = sorted({d[0] for row in summand_data for d in row if d})
     for q in qs:
@@ -523,28 +516,20 @@ def _spectral_sequence(
             val = dims[j] - ranks[j] - ranks[j + 1]
             if val:
                 e2[(j, q)] = val
-    out: dict[int, int | None] = {}
-    maxq = sum(n)
-    for k in range(0, maxq + 1):
-        total = 0
-        determined = True
-        for j in range(nterms):
-            q = k + j
-            if q > maxq:
-                break
-            val = e2.get((j, q), 0)
-            if not val:
-                continue
-            # higher differentials: d_r hits (j - r, q - r + 1) and is fed
-            # from (j + r, q + r - 1), r >= 2
-            for r in range(2, nterms + 1):
-                if e2.get((j + r, q + r - 1), 0):
-                    determined = False
-                if j - r >= 0 and e2.get((j - r, q - r + 1), 0):
-                    determined = False
-            total += val
-        out[k] = total if determined else None
-    return out, hf
+    # d_r (r >= 2) runs from E(j, q) to E(j - r, q - r + 1), that is from
+    # the diagonal q - j to the next; none may land on a diagonal k >= 0
+    if any(
+        e2.get((j - r, q - r + 1))
+        for j, q in e2
+        if q >= j - 1
+        for r in range(2, j + 1)
+    ):
+        return None, hf
+    table = dict.fromkeys(range(sum(n) + 1), 0)
+    for (j, q), val in e2.items():
+        if q >= j:
+            table[q - j] += val
+    return table, hf
 
 
 def local_cohomology_dim_fast(
@@ -603,7 +588,7 @@ def regularity_check(
         raise ValueError("regularity checks require a product of projective spaces")
     n = _dims(ring)
     r = len(n)
-    d = tuple(d)
+    d = degree_vector(d, r)
     if window is None:
         lo = tuple(-ni - 1 for ni in n)
         maxgen = [0] * r
@@ -613,8 +598,7 @@ def regularity_check(
             max(di + ni + 1, mg) for di, ni, mg in zip(d, n, maxgen)
         )
     else:
-        lo = tuple(int(c) for c in window[0])
-        hi = tuple(int(c) for c in window[1])
+        lo, hi = (tuple(map(int, degree_vector(v, r, "window corner"))) for v in window)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError("empty window")
     # the corner d - q of each region, with the i that share it; in the
@@ -685,7 +669,7 @@ def check_linear_truncation(F: FreeComplex, d: Sequence[int]) -> bool:
     """
     ring = F.ring
     n = _dims(ring)
-    d = tuple(d)
+    d = degree_vector(d, len(n))
     zero = (0,) * len(d)
     for i, term in enumerate(F.terms):
         deltas = _delta_twists(n, i)
@@ -758,7 +742,7 @@ def beilinson_shape(
     """
     M = _as_quotient(M)
     n = _dims(M.ring)
-    d = tuple(d)
+    d = degree_vector(d, len(n))
     F = free_resolution(M)
     blocks: dict[int, dict[Multidegree, int]] = {}
     for u in itertools.product(*[range(ni + 1) for ni in n]):

@@ -28,7 +28,7 @@ from .ideals import (
     Subquotient,
     _in_b_saturation,
 )
-from .ring import Multidegree, Polynomial, RingSpec, axpy, vadd, vleq
+from .ring import Multidegree, Polynomial, RingSpec, axpy, degree_vector, vadd, vleq
 
 
 class FreeComplex:
@@ -403,7 +403,7 @@ def winnow(F: FreeComplex, d: Sequence[int]) -> FreeComplex:
     ring = F.ring
     if not ring.is_product:
         raise NotImplementedError("winnowing requires a product of projective spaces")
-    bound = vadd(tuple(d), ring.dimension_vector)
+    bound = vadd(degree_vector(d, ring.rank_grading), ring.dimension_vector)
     keep = [[j for j, a in enumerate(t.gen_degrees) if vleq(a, bound)] for t in F.terms]
     return _keep_summands(F.terms, [[col.terms for col in cols] for cols in F.maps], keep)
 
@@ -442,7 +442,7 @@ def virtual_of_pair(
     ring = M.ring
     if not ring.is_product:
         raise NotImplementedError("virtual resolutions of a pair require a product ring")
-    d = tuple(d)
+    d = degree_vector(d, ring.rank_grading)
     bound = vadd(d, ring.dimension_vector)
     F, cols = _presentation(M.free, M.relations.gens)
     terms = [F]
@@ -467,6 +467,8 @@ def virtual_of_pair(
 def koszul_pair_complex(f: Polynomial, g: Polynomial) -> FreeComplex:
     """The Koszul complex S <- S(-a) + S(-b) <- S(-a-b) of two forms."""
     ring = f.ring
+    if g.ring != ring:
+        raise ValueError("the two forms live in different rings")
     a = f.multidegree()
     b = g.multidegree()
     F0 = FreeModule(ring, [(0,) * ring.rank_grading])
@@ -480,6 +482,8 @@ def koszul_pair_complex(f: Polynomial, g: Polynomial) -> FreeComplex:
 def tensor_complex(C: FreeComplex, D: FreeComplex) -> FreeComplex:
     """Tensor product complex (C ⊗ D) with the usual sign convention."""
     ring = C.ring
+    if D.ring != ring:
+        raise ValueError("the two complexes live over different rings")
     p = ring.char
     # index the generators of (C⊗D)_k by pairs (i, a, j, b)
     layout: list[list[tuple[int, int, int, int]]] = []

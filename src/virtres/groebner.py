@@ -498,10 +498,6 @@ def groebner_basis(
     return GroebnerBasis(module, _interreduce(engine))
 
 
-def normal_form(elt: ModuleElement, gb: GroebnerBasis) -> ModuleElement:
-    return gb.normal_form(elt)
-
-
 def syzygy_module(
     gens: Sequence[ModuleElement], minimalize: bool = True
 ) -> list[ModuleElement]:

@@ -48,6 +48,7 @@ from .ring import (
     Polynomial,
     RingSpec,
     _weak_compositions,
+    degree_vector,
     vleq,
     vmax,
     vsub,
@@ -57,8 +58,9 @@ from .ring import (
 class Submodule:
     """A graded submodule of a free module, given by homogeneous generators."""
 
-    # _cyclic: the one S/I that the cohomology engines read an ideal I as
-    __slots__ = ("module", "gens", "_gb", "_cyclic")
+    # _cyclic: the one S/I that the cohomology engines read an ideal I as;
+    # _bsat: (self : B^infinity), or True when that is self, kept by b_saturate
+    __slots__ = ("module", "gens", "_gb", "_cyclic", "_bsat")
 
     def __init__(self, module: FreeModule, gens: Iterable[ModuleElement]):
         self.module = module
@@ -73,6 +75,7 @@ class Submodule:
         self.gens = clean
         self._gb: GroebnerBasis | None = None
         self._cyclic: QuotientModule | None = None
+        self._bsat: Submodule | bool | None = None
 
     @property
     def ring(self) -> RingSpec:
@@ -377,11 +380,19 @@ def b_saturate(A: Submodule) -> Submodule:
     variable of largest index is regular on S/A (Bayer–Stillman: homogeneous
     A, reduced basis, weighted grevlex with that variable last).  Otherwise,
     and for every module of rank two or more, the colon loop decides.
+
+    Computed once per submodule: a later call on A, or on the result,
+    returns it.
     """
-    ring = A.ring
-    for prime in ring.irrelevant_primes:
-        A = saturate(A, [ring.variable(j) for j in prime])
-    return A
+    if A._bsat is None:
+        S = A
+        for prime in A.ring.irrelevant_primes:
+            S = saturate(S, [A.ring.variable(j) for j in prime])
+        # the saturation is marked True, not pointed at itself (when S is A,
+        # too): that cycle would keep it and its Groebner basis alive
+        A._bsat = S
+        S._bsat = True
+    return A if A._bsat is True else A._bsat
 
 
 def _monomial_minimalize(codec: MonomialCodec, keys: Iterable[int]) -> list[int]:
@@ -417,9 +428,7 @@ def irrelevant_power(ring: RingSpec, a: Sequence[int]) -> Submodule:
     they share variables: on the del Pezzo ring, <y0,y2> <y0,y3> is
     <y0^2, y0 y2, y0 y3, y2 y3>, while <y0,y2> ∩ <y0,y3> is <y0, y2 y3>.
     """
-    a = tuple(a)
-    if len(a) != len(ring.irrelevant_primes):
-        raise ValueError("exponent vector length must match the number of irrelevant primes")
+    a = degree_vector(a, len(ring.irrelevant_primes), "exponent vector")
     if any(c < 0 for c in a):
         raise ValueError("exponents must be nonnegative")
     codec = ring.codec
@@ -506,7 +515,7 @@ def truncate(A: Submodule, a: Sequence[int]) -> Submodule:
     ring = A.ring
     if not ring.is_product:
         raise NotImplementedError("truncation is implemented for products of projective spaces")
-    a = tuple(a)
+    a = degree_vector(a, ring.rank_grading)
     out: list[ModuleElement] = []
     zero = (0,) * ring.rank_grading
     for g in A.gens:
@@ -518,7 +527,7 @@ def truncate(A: Submodule, a: Sequence[int]) -> Submodule:
 
 def hilbert_function(M: QuotientModule | Submodule, degree: Sequence[int]) -> int:
     """dim_k M_degree for a quotient presentation (or a submodule)."""
-    degree = tuple(degree)
+    degree = degree_vector(degree, M.ring.rank_grading)
     if isinstance(M, Submodule):
         free = QuotientModule(M.module, Submodule(M.module, []))
         total = hilbert_function(free, degree)

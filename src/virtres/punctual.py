@@ -38,6 +38,7 @@ from .ring import (
     SparseRow,
     _weak_compositions,
     axpy,
+    degree_vector,
     echelon_mod_p,
     vadd,
 )
@@ -283,7 +284,7 @@ def intersect_with_irrelevant_power(I: Submodule, a: Sequence[int]) -> Submodule
     The product equals the intersection of the P_i^{a_i} when the primes are
     pairwise disjoint, as on products of projective spaces and on F_3.
     """
-    a = tuple(int(c) for c in a)
+    a = degree_vector(map(int, a), len(I.ring.irrelevant_primes), "exponent vector")
     if any(c < 0 for c in a):
         raise ValueError("exponent vector must be nonnegative")
     if not any(a):

@@ -78,6 +78,14 @@ def vleq(a: Multidegree, b: Multidegree) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def degree_vector(v: Sequence[int], r: int, what: str = "degree") -> Multidegree:
+    """v as a tuple, refused with ValueError unless it has r components."""
+    v = tuple(v)
+    if len(v) != r:
+        raise ValueError(f"{what} {v}: expected {r} components, got {len(v)}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # packed monomial codec
 

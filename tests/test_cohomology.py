@@ -21,6 +21,7 @@ from virtres import (
     hilbert_function,
     ideal,
     intersect,
+    intersect_with_irrelevant_power,
     irrelevant_power,
     line_bundle_cohomology,
     local_cohomology_dim,
@@ -32,8 +33,9 @@ from virtres import (
     sheaf_euler_char,
     truncate,
     virtual_of_pair,
+    winnow,
 )
-from virtres import cohomology, complexes
+from virtres import cohomology, complexes, ideals
 from virtres.cohomology import binom_poly
 from virtres.fixtures import CURVE_BEILINSON_22, curve_ideal, curve_ring, surface_ideal
 from virtres.groebner import LeadIndex, term_mono, term_pos
@@ -275,6 +277,7 @@ SUPPORT_DIM = {
 def test_closed_form_strand_row_matches_strand_ranks(name):
     make, lo, hi = ORACLE_BOXES[name]
     M = make()
+    own = make()
     F = free_resolution(M)
     for p in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
         want, e2 = _cohomology_by_strand_ranks(F, p)
@@ -282,6 +285,11 @@ def test_closed_form_strand_row_matches_strand_ranks(name):
         assert e2.get((0, 0), 0) == hilbert_function(M, p), p
         assert not any(e2.get((j, 0)) for j in range(1, len(F.terms))), p
         coh = sheaf_cohomology_exact(M, p)
+        # the engine gives up on M's own page exactly where the oracle
+        # leaves a cell undetermined, and otherwise gives the whole table
+        table = cohomology._spectral_sequence(own, p)[0]
+        assert (table is None) == (None in want.values()), p
+        assert table is None or table == coh, p
         # every value is exact: the oracle's determined cells agree; where it
         # leaves a cell undetermined (None), the values sum to the Euler
         # characteristic, vanish above the support's dimension, and match a
@@ -433,6 +441,42 @@ def test_refused_calls_store_nothing():
     assert M._cohomology == {}
 
 
+# every entry point that takes a degree vector, called on the curve's module
+# (two factors) with a vector v
+DEGREE_VECTOR_CALLS = {
+    "regularity_check": lambda M, v: regularity_check(M, v),
+    "regularity_check window": lambda M, v: regularity_check(M, (2, 1), window=(v, v)),
+    "sheaf_cohomology_exact": lambda M, v: sheaf_cohomology_exact(M, v),
+    "local_cohomology_dim_fast": lambda M, v: local_cohomology_dim_fast(M, 1, v),
+    "local_cohomology_dim": lambda M, v: local_cohomology_dim(M, 1, v),
+    "sheaf_euler_char": lambda M, v: sheaf_euler_char(M, v),
+    "beilinson_shape": lambda M, v: beilinson_shape(M, v, verify_vanishing=True),
+    "virtual_of_pair": lambda M, v: virtual_of_pair(M, v),
+    "winnow": lambda M, v: winnow(free_resolution(M), v),
+    "check_linear_truncation": lambda M, v: check_linear_truncation(
+        virtual_of_pair(M, (2, 1)), v
+    ),
+    "truncate": lambda M, v: truncate(M.relations, v),
+    "hilbert_function": lambda M, v: hilbert_function(M, v),
+    "line_bundle_cohomology": lambda M, v: line_bundle_cohomology(M.ring, v),
+    "euler_char_line": lambda M, v: euler_char_line(M.ring, v),
+    "intersect_with_irrelevant_power": lambda M, v: intersect_with_irrelevant_power(
+        M.relations, v
+    ),
+}
+
+
+# zero vectors: a zero exponent vector of the right length makes
+# intersect_with_irrelevant_power return its ideal unchanged
+@pytest.mark.parametrize("v", [(0,), (0, 0, 0)], ids=["1", "3"])
+@pytest.mark.parametrize("name", sorted(DEGREE_VECTOR_CALLS))
+def test_degree_vectors_of_the_wrong_length_are_refused(name, v):
+    M = QuotientModule.cyclic(curve_ideal())
+    with pytest.raises(ValueError, match="expected 2 components"):
+        DEGREE_VECTOR_CALLS[name](M, v)
+    assert M._cohomology == {}
+
+
 def test_regularity_check_on_a_warm_module_matches_a_fresh_one():
     cases = [
         (curve_ideal, (2, 1), False),
@@ -568,7 +612,7 @@ def test_regularity_check_names_the_source_of_every_cell(
     # diagonals no region asks for
     own = QuotientModule.cyclic(make())
     undetermined = {
-        p for _, p in cells if None in cohomology._spectral_sequence(own, p)[0].values()
+        p for _, p in cells if cohomology._spectral_sequence(own, p)[0] is None
     }
     assert len(runs) == len(set(runs))
     assert set(runs) == undetermined >= {p for _, p in heuristic}
@@ -603,6 +647,34 @@ def test_fallback_runs_once_per_cell(monkeypatch):
     assert regularity_check(M, (0, 0)) == first
     assert sorted(witnesses, key=lambda w: (w[1], w[0])) == first.checks
     assert len(runs) == len(set(runs)) == 10
+
+
+def test_each_module_is_saturated_once(monkeypatch):
+    # a twist whose own page does not degenerate reads HF(F / (W : B^inf), p),
+    # and b_saturate keeps W's saturation on W: one saturate call per
+    # irrelevant prime, for the curve and for the unsaturated curve ∩ B^(1,0)
+    I = curve_ideal()
+    J = intersect(I, irrelevant_power(I.ring, (1, 0)))
+    modules = [QuotientModule.cyclic(I), QuotientModule.cyclic(J)]
+    calls = []
+    saturate = ideals.saturate
+
+    def counting_saturate(A, J):
+        calls.append(A)
+        return saturate(A, J)
+
+    monkeypatch.setattr(ideals, "saturate", counting_saturate)
+    runs = _fallback_runs(monkeypatch)
+    for M in modules:
+        first = regularity_check(M, (0, 0))
+        assert runs and len(calls) == 2
+        calls.clear()
+        assert regularity_check(M, (0, 0)) == first
+        # twists below the default window reach the truncation afresh
+        runs.clear()
+        regularity_check(M, (0, -4), window=((0, -4), (0, -2)))
+        assert runs and calls == []
+        runs.clear()
 
 
 def test_strict_regions_overlap_but_each_cell_is_read_once(monkeypatch):

@@ -502,6 +502,15 @@ def test_tensor_complex_betti_convolution():
     assert [t.rank for t in T.terms] == conv
 
 
+def test_mixed_rings_are_refused():
+    C = koszul_pair_complex(R11.x(1, 0), R11.x(2, 0))
+    D = koszul_pair_complex(R12.x(1, 0), R12.x(2, 0))
+    with pytest.raises(ValueError, match="different rings"):
+        tensor_complex(C, D)
+    with pytest.raises(ValueError, match="different rings"):
+        koszul_pair_complex(R11.x(1, 0), R12.x(2, 0))
+
+
 # -- Betti table serialization -------------------------------------------------
 
 
